@@ -511,9 +511,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# operands that an action cannot run without, as the user writes them
+_REQUIRED = {
+    ("alg", "cauchy"): ("expr2",),
+    ("alg", "dirichlet"): ("expr2",),
+    ("hardy", "eval"): ("expr",),
+    ("hardy", "norm"): ("expr",),
+    ("dirichlet", "conv"): ("--in2",),
+    ("dirichlet", "mellin"): ("--y",),
+    ("galois", "flow"): ("--r", "--expr"),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        action = (args.command, getattr(args, "action", None))
+        missing = [o for o in _REQUIRED.get(action, ()) if getattr(args, o.lstrip("-")) is None]
+        if missing:
+            raise SystemExit2(f"{' '.join(action)} needs {' and '.join(missing)}")
         ctx = _Ctx(args)
         return args.func(ctx, args)
     except SystemExit2 as exc:

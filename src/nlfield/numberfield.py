@@ -6,20 +6,27 @@ representations are canonical and equality is literal.  Embeddings into
 R and C are certified: every numeric answer comes as a rational-endpoint
 box guaranteed to contain the true value, refinable to any width.
 
-Root isolation is delegated to sympy's CRootOf, which isolates real
-roots by Sturm-style sign variation and complex roots by certified
-interval refinement; we wrap its intervals in our Box type and keep a
-monotone per-place cache.
+Root enclosures come from one function, `isolate_roots`.  mpmath's
+polyroots supplies approximations; each is moved to a dyadic centre c
+and certified by the inclusion disk |w - c| <= n |p(c)/p'(c)| (Rump,
+"Verification methods", Acta Numerica 19, 2010), whose radius is
+evaluated exactly in integers and rounded up.  n pairwise disjoint disks
+hold one root each, so a disk centred on R holds a real root and a disk
+off R a non-real one.  A place refines its box by Newton steps on a
+dyadic grid and keeps a monotone cache.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
+from math import isqrt, lcm
 
+import mpmath
 import sympy
-from sympy.abc import x as _sym_x
+from sympy.abc import x as _sym_x, y as _sym_y
 
 from .errors import (
     NotMonicError,
@@ -48,89 +55,203 @@ def _from_sympoly(sp) -> Poly:
     return Poly([Fraction(c.p, c.q) for c in reversed(sp.all_coeffs())])
 
 
-def _rational_parts(val) -> tuple[Fraction, Fraction]:
-    """Split an exact sympy rational-complex value into (re, im) Fractions."""
-    re, im = val.as_real_imag()
-    return Fraction(re.p, re.q), Fraction(im.p, im.q)
+def _bits(width: Fraction) -> int:
+    """The least k >= 0 with 2^-k <= width."""
+    return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
-def _expr_box(expr, width: Fraction) -> Box:
-    """Certified box around an exact algebraic sympy expression.
+def _dyadic(x, k: int) -> int:
+    """x * 2^k truncated to an integer, exactly, from mpmath's binary
+    representation (sign, mantissa, exponent)."""
+    sign, man, exp, _ = x._mpf_
+    shift = exp + k
+    v = man << shift if shift >= 0 else man >> -shift
+    return -v if sign else v
 
-    CRootOf preprocesses its polynomial (deflation, rescaling), so a
-    "root" can come back as a Rational, a bare CRootOf, I, or sums and
-    products of those; this evaluates any such combination to a
-    rational-endpoint box whose width shrinks to zero with `width`."""
-    if expr.is_Rational:
-        return Box.point(Fraction(expr.p, expr.q))
-    if expr is sympy.I:
-        return Box(RatInterval.point(Fraction(0)), RatInterval.point(Fraction(1)))
-    if isinstance(expr, sympy.CRootOf):
-        half = width / 2
-        re, im = _rational_parts(expr.eval_rational(dx=half, dy=half))
-        im_iv = (
-            RatInterval.point(Fraction(0))
-            if expr.is_real
-            else RatInterval(im - half, im + half)
-        )
-        return Box(RatInterval(re - half, re + half), im_iv)
-    if expr.is_Add:
-        out = Box.point(Fraction(0))
-        for arg in expr.args:
-            out = out + _expr_box(arg, width)
-        return out
-    if expr.is_Mul:
-        out = Box.point(Fraction(1))
-        for arg in expr.args:
-            out = out * _expr_box(arg, width)
-        return out
-    if expr.is_Pow and expr.exp.is_Integer and expr.exp > 0:
-        base = _expr_box(expr.base, width)
-        out = Box.point(Fraction(1))
-        for _ in range(int(expr.exp)):
-            out = out * base
-        return out
-    raise TypeError(f"cannot box algebraic expression {expr!r}")
+
+def _horner(coeffs, re: int, im: int, k: int) -> tuple[int, int]:
+    """2^(k deg) p(c) at c = (re + im i) / 2^k, as a Gaussian integer."""
+    acc_re, acc_im, scale = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        scale <<= k
+        acc_re, acc_im = acc_re * re - acc_im * im + c * scale, acc_re * im + acc_im * re
+    return acc_re, acc_im
+
+
+def _newton(coeffs, re: int, im: int, k: int) -> tuple[int | None, int, int]:
+    """Inclusion radius and Newton step at c = (re + im i) / 2^k, exactly.
+
+    Returns (s, d_re, d_im): the disk |w - c| <= s / 2^k, with
+    s = ceil(n |p(c)/p'(c)| 2^k), holds a root of p, and
+    c - (d_re + d_im i) / 2^k is the Newton step from c rounded to the
+    2^-k grid.  s is None where p'(c) = 0."""
+    n = len(coeffs) - 1
+    a_re, a_im = _horner(coeffs, re, im, k)
+    b_re, b_im = _horner([j * c for j, c in enumerate(coeffs)][1:], re, im, k)
+    bb = b_re * b_re + b_im * b_im
+    if bb == 0:
+        return None, 0, 0
+    # n |p/p'| 2^k = n |a| / |b|; its ceiling s satisfies s^2 |b|^2 >= n^2 |a|^2
+    num = n * n * (a_re * a_re + a_im * a_im)
+    s = isqrt(num // bb)
+    if s * s * bb < num:
+        s += 1
+    # (p/p') 2^k = a conj(b) / |b|^2, rounded to the nearest integer
+    q_re, q_im = a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im
+    return s, (2 * q_re + bb) // (2 * bb), (2 * q_im + bb) // (2 * bb)
+
+
+def _disk_box(re: int, im: int, k: int, s: int, real: bool) -> Box:
+    """The square around the disk |w - (re + im i)/2^k| <= s/2^k; pinned to
+    the real line for a root known to be real."""
+    d = 1 << k
+    im_iv = (RatInterval.point(0) if real
+             else RatInterval(Fraction(im - s, d), Fraction(im + s, d)))
+    return Box(RatInterval(Fraction(re - s, d), Fraction(re + s, d)), im_iv)
 
 
 class Place:
-    """An archimedean place: a certified box around one root of the minimal
-    polynomial.  Complex places store the representative root with positive
-    imaginary part; the conjugate embedding is obtained by reflection."""
+    """An archimedean place: one root of a squarefree polynomial, held as a
+    certified box that isolates it from the other roots.  Complex places of
+    a field store the representative root with positive imaginary part; the
+    conjugate embedding is obtained by reflection."""
 
-    def __init__(self, root, kind: str):
+    def __init__(self, coeffs: tuple, centre: tuple, isolating: Box, kind: str):
         assert kind in ("real", "complex")
         self.kind = kind
-        self._root = root  # sympy CRootOf
-        self._box: Box | None = None
-        self._width: Fraction | None = None
+        self.isolating = isolating
+        self._coeffs = coeffs  # integer multiple of the polynomial, lowest first
+        self._centre = centre  # (re, im, k): the dyadic point (re + im i) / 2^k
+        self._box = isolating
 
     @property
     def is_real(self) -> bool:
         return self.kind == "real"
 
     def box(self, width: Fraction) -> Box:
-        """Certified box of width <= width around the defining root.
-        Refinement is monotone: a cached finer box is reused as-is."""
+        """Certified box of width <= width around the root, inside the
+        isolating box.  Refinement is monotone: a cached finer box is
+        reused as-is."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        if self._box is not None and self._width <= width:
+        if self._box.width <= width:
             return self._box
-        w = width
-        while True:
-            box = _expr_box(self._root, w)
-            if self.kind == "real":
-                # the root is known real; pin the box to the real line
-                box = Box(box.re, RatInterval.point(0))
-            if box.width <= width:
-                break
-            w = w * w
-        self._box, self._width = box, width
-        return box
+        re, im, k0 = self._centre
+        # a centre within 2^-k of the root gives a box of width about
+        # 2 n 2^-k; the bitlen(n) + 2 guard bits bring that under the request
+        k = max(k0, _bits(width) + (len(self._coeffs) - 1).bit_length() + 2)
+        if k > 4 * k0:
+            # Newton doubles the correct bits per step: climb on coarser grids
+            self.box(Fraction(1, 1 << (k // 2)))
+            re, im, k0 = self._centre
+        while Fraction(1, 1 << k) >= width * DEFAULT_WIDTH_CAP:
+            re, im, k0 = re << (k - k0), im << (k - k0), k
+            for _ in range(k.bit_length() + 2):
+                s, d_re, d_im = _newton(self._coeffs, re, im, k)
+                if s is not None:
+                    box, iso = _disk_box(re, im, k, s, self.is_real), self.isolating
+                    if (box.width <= width and iso.re.lo <= box.re.lo <= box.re.hi <= iso.re.hi
+                            and iso.im.lo <= box.im.lo <= box.im.hi <= iso.im.hi):
+                        self._centre, self._box = (re, im, k), box
+                        return box
+                if not (d_re or d_im):
+                    break
+                re, im = re - d_re, im - d_im
+            k *= 2
+        raise UndecidedNumericallyError("root refinement hit the width cap")
 
     def __repr__(self):
-        return f"Place({self.kind}, {self._root})"
+        return f"Place({self.kind}, {self._box.mid})"
+
+
+def _real_part_separation(coeffs) -> Fraction:
+    """A lower bound, squared, on the distance between distinct values
+    2 Re z over the roots z of p.  Each is a root of Res_x(p(x), p(y - x)),
+    and for the squarefree part q (integer, degree d) of that resultant
+    Mahler (1964) gives sep(q) > sqrt(3) d^-(d+2)/2 |q|_2^-(d-1)."""
+    p = sympy.Poly(list(reversed(coeffs)), _sym_x)
+    res = sympy.resultant(p.as_expr(), p.as_expr().subs(_sym_x, _sym_y - _sym_x), _sym_x)
+    q = [int(c) for c in sympy.Poly(res, _sym_y).sqf_part().all_coeffs()]
+    d = len(q) - 1
+    return Fraction(3, d ** (d + 2) * sum(c * c for c in q) ** (d - 1))
+
+
+def _compare_real_parts(u: Place, v: Place, separation) -> int:
+    """-1, 0 or 1 as Re u <, =, > Re v.  Equality is proved once the hull of
+    the two enclosures of 2 Re is narrower than the bound `separation()`.
+    Boxes of width w with 16 w^2 < separation() always decide, so that bound,
+    not DEFAULT_WIDTH_CAP, ends the loop."""
+    width = DEFAULT_START_WIDTH
+    while True:
+        a, b = u.box(width).re, v.box(width).re
+        if a.hi < b.lo or b.hi < a.lo:
+            return -1 if a.hi < b.lo else 1
+        hull = 2 * (max(a.hi, b.hi) - min(a.lo, b.lo))
+        if hull * hull < separation():
+            return 0
+        if 16 * width * width < separation():
+            raise UndecidedNumericallyError("real parts undecided below the separation bound")
+        # the first width that must decide: 2^-j with 16 * 4^-j < separation()
+        width = max(width * width, Fraction(1, 1 << (_bits(separation() / 16) + 3) // 2))
+
+
+def isolate_roots(p: Poly) -> list[Place]:
+    """Every root of the squarefree polynomial p as a Place with a certified
+    isolating box: real roots ascending, then one root of each conjugate
+    pair (Im > 0) by (re, im), then their conjugates in the same order.
+
+    polyroots runs at doubling precision until the inclusion disks of its
+    approximations, centred on the 2^-prec grid, are pairwise disjoint.  An
+    approximation whose disk meets R is moved onto R first, so that a real
+    root gets a disk symmetric about R."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    coeffs = tuple(int(c * den) for c in p.coeffs)
+    n = p.degree
+    prec = 53
+    while prec <= _bits(DEFAULT_WIDTH_CAP):
+        with mpmath.workprec(prec):
+            try:
+                approx = mpmath.polyroots(coeffs[::-1], maxsteps=50 + 10 * n, extraprec=prec)
+            except mpmath.libmp.NoConvergence:
+                approx = []
+        disks = []  # (re, im, s) on the 2^-prec grid, Im >= 0 only
+        for z in map(mpmath.mpc, approx):
+            re, im = (_dyadic(part, prec) for part in (z.real, z.imag))
+            s = _newton(coeffs, re, im, prec)[0]
+            if s is not None and abs(im) <= s:
+                im, s = 0, _newton(coeffs, re, 0, prec)[0]
+            if s is not None and im >= 0:
+                disks.append((re, im, s))
+        real = [d for d in disks if d[1] == 0]
+        if len(real) + 2 * (len(disks) - len(real)) == n and all(
+            abs(u[0] - v[0]) > u[2] + v[2] or abs(u[1] - v[1]) > u[2] + v[2]
+            for i, u in enumerate(disks) for v in disks[i + 1:]
+        ):
+            break
+        prec *= 2
+    else:
+        raise UndecidedNumericallyError("could not separate root boxes")
+    places = [Place(coeffs, (re, im, prec), _disk_box(re, im, prec, s, im == 0),
+                    "real" if im == 0 else "complex")
+              for re, im, s in sorted(disks, key=lambda d: (d[1] != 0, d[0]))]
+    r = len(real)
+    separation = lru_cache(None)(lambda: _real_part_separation(coeffs))
+    # the refinement that proves an order happens on copies, so the places
+    # keep their isolating boxes
+    proof = {id(q): copy.copy(q) for q in places[r:]}
+
+    def order(u: Place, v: Place) -> int:
+        if not u.isolating.re.overlaps(v.isolating.re):
+            return -1 if u.isolating.re.hi < v.isolating.re.lo else 1
+        c = _compare_real_parts(proof[id(u)], proof[id(v)], separation)
+        # equal real parts: the disjoint boxes are apart in Im
+        return c or (-1 if u.isolating.im.hi < v.isolating.im.lo else 1)
+
+    upper = sorted(places[r:], key=cmp_to_key(order))
+    lower = [Place(coeffs, (q._centre[0], -q._centre[1], prec), q.isolating.conjugate(),
+                   "complex") for q in upper]
+    return places[:r] + upper + lower
 
 
 class NumberField:
@@ -144,37 +265,23 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._places: list[Place] | None = None
-        self._signature: tuple[int, int] | None = None
         self._basis_cache: list[FieldElement] | None = None
         self._sign_cache: dict = {}
         self._minpoly_cache: dict = {}
-
-    def _isolate(self):
-        if self._places is not None:
-            return
-        sp = _to_sympoly(self.minpoly)
-        roots = [sympy.CRootOf(sp, i) for i in range(self.degree)]
-        real_places = [Place(r, "real") for r in roots if r.is_real]
-        complex_reps = [r for r in roots if not r.is_real and _im_sign(r) > 0]
-        # CRootOf orders real roots ascending and complex roots by
-        # (real part, imaginary part), so this matches the fixed
-        # convention: real places ascending, pairs by ascending re then im
-        complex_places = [Place(r, "complex") for r in complex_reps]
-        r_count, s_count = len(real_places), len(complex_places)
-        assert r_count + 2 * s_count == self.degree
-        self._places = real_places + complex_places
-        self._signature = (r_count, s_count)
-        _ensure_disjoint_boxes(self)
+        self._root_cache: dict = {}  # minpoly of an element -> isolate_roots
 
     @property
     def places(self) -> list[Place]:
-        self._isolate()
+        """Real places ascending, then one place per conjugate pair."""
+        if self._places is None:
+            roots = isolate_roots(self.minpoly)
+            self._places = roots[: (self.degree + sum(p.is_real for p in roots)) // 2]
         return self._places
 
     @property
     def signature(self) -> tuple[int, int]:
-        self._isolate()
-        return self._signature
+        r = sum(p.is_real for p in self.places)
+        return r, len(self.places) - r
 
     # -- constructors ------------------------------------------------
 
@@ -335,47 +442,7 @@ def define_field(minpoly: Poly) -> NumberField:
     return NumberField(minpoly)
 
 
-def _im_sign(root) -> int:
-    """Certified sign of the imaginary part of a non-real root."""
-    w = Fraction(1, 2**20)
-    while True:
-        s = _expr_box(root, w).im.sign()
-        if s is not None:
-            return s
-        w = w * w
-
-
-def _ensure_disjoint_boxes(field: NumberField):
-    width = Fraction(1, 2**16)
-    while True:
-        boxes = [p.box(width) for p in field.places]
-        clash = any(
-            boxes[i].overlaps(boxes[j])
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        )
-        if not clash:
-            return
-        if width < DEFAULT_WIDTH_CAP:
-            raise UndecidedNumericallyError("could not separate root boxes")
-        width = width * width
-
-
 # -- operations ------------------------------------------------------
-
-
-def elem_arith(op: str, a: FieldElement, b: FieldElement | None = None) -> FieldElement:
-    """Dispatch wrapper matching the CLI surface; the operators on
-    FieldElement are the primary API."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def absolute_trace(a: FieldElement) -> Fraction:

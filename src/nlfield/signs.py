@@ -8,17 +8,15 @@ product of two quadrant signs is genuinely set-valued: it can overflow
 into the neighbouring singular sign and quadrant.
 
 Axis membership is decided exactly, never by thresholding: the embedded
-value is matched to a root of its own minimal polynomial, whose realness
-is certified, and the purely-imaginary test reduces to realness of the
-square with certified negative sign.
+value is matched to a root of its own minimal polynomial, whose isolating
+box from numberfield.isolate_roots certifies whether it is real, and the
+purely-imaginary test reduces to realness of the square with certified
+negative sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import sympy
 
 from . import coeffs
 from .algebra import AlgebraElement
@@ -29,12 +27,10 @@ from .numberfield import (
     FieldElement,
     NumberField,
     Place,
-    _expr_box,
-    _to_sympoly,
     embed,
+    isolate_roots,
     minimal_polynomial_of,
 )
-from .intervals import Box
 
 # -- complex signs ---------------------------------------------------
 
@@ -143,23 +139,17 @@ def sign_vector_product(v1: SignVector, v2: SignVector) -> frozenset:
 # -- exact sign determination ----------------------------------------
 
 
-def _root_box(root, width: Fraction) -> Box:
-    return _expr_box(root, width)
-
-
-def _matched_root(alpha: FieldElement, place: Place):
+def _matched_root(alpha: FieldElement, place: Place) -> Place:
     """The root of minpoly(alpha) equal to the embedding of alpha at the
     place, found by shrinking boxes until exactly one candidate remains."""
     m = minimal_polynomial_of(alpha)
-    if m.degree == 1:
-        r = -m.coeffs[0]
-        return sympy.Rational(r.numerator, r.denominator)
-    sp = _to_sympoly(m)
-    roots = [sympy.CRootOf(sp, i) for i in range(m.degree)]
+    cache = alpha.field._root_cache
+    if m not in cache:
+        cache[m] = isolate_roots(m)
     width = DEFAULT_START_WIDTH
     while True:
         target = embed(alpha, place, width)
-        cands = [r for r in roots if _root_box(r, width).overlaps(target)]
+        cands = [r for r in cache[m] if r.box(width).overlaps(target)]
         if len(cands) == 1:
             return cands[0]
         if width < DEFAULT_WIDTH_CAP:
@@ -191,10 +181,7 @@ def _certified_im_sign(alpha: FieldElement, place: Place) -> int:
 
 
 def _is_real_at(alpha: FieldElement, place: Place) -> bool:
-    root = _matched_root(alpha, place)
-    if getattr(root, "is_Rational", False):
-        return True
-    return bool(root.is_real)
+    return _matched_root(alpha, place).is_real
 
 
 def _complex_sign_at(alpha: FieldElement, place: Place) -> ComplexSign:

@@ -94,6 +94,25 @@ def test_config_error_exit_code(capsys):
     assert "no field" in err
 
 
+@pytest.mark.parametrize("argv, operand", [
+    (["alg", "cauchy", "z^{1}", "--minpoly", "0,1"], "expr2"),
+    (["alg", "dirichlet", "z^{1}", "--minpoly", "0,1"], "expr2"),
+    (["hardy", "eval", "--minpoly", "0,1"], "expr"),
+    (["hardy", "norm", "--minpoly", "0,1"], "expr"),
+    (["dirichlet", "conv", "--in", "ones.csv", "--N", "10"], "--in2"),
+    (["dirichlet", "mellin", "--in", "ones.csv", "--N", "10"], "--y"),
+    (["galois", "flow", "--cyclotomic", "4", "--expr", "z^{1}"], "--r"),
+    (["galois", "flow", "--cyclotomic", "4", "--r", "0.5"], "--expr"),
+])
+def test_missing_operand_exit_code(capsys, argv, operand):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and operand in err
+    assert "Traceback" not in err
+
+
 def test_json_flag_suppresses_summary(capsys):
     code, doc, err = run(capsys, "--json", "elem", "eval", "1+a",
                          "--quadratic", "2")
