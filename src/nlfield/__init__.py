@@ -2,15 +2,7 @@
 algebra, sign gradings, analytic evaluation, Galois actions, and
 Dirichlet series, with a small CLI on top."""
 
-from .algebra import (
-    AlgebraElement,
-    ProjectiveClass,
-    cauchy_product,
-    dirichlet_product,
-    monomial,
-    projectivize,
-    trace_functional,
-)
+from .algebra import AlgebraElement, ProjectiveClass, monomial
 from .coeffs import APPROX, EXACT, GaussRat
 from .dirichlet import IntegerSeries, dconv, dinvert, mellin_eval
 from .errors import NlfieldError

@@ -203,22 +203,8 @@ class ProjectiveClass:
 # -- constructors ----------------------------------------------------
 
 
-def zero_element(field: NumberField, mode: str = EXACT) -> AlgebraElement:
-    return AlgebraElement(field, mode, {})
-
-
 def monomial(alpha: FieldElement, coeff=1, mode: str = EXACT) -> AlgebraElement:
     return AlgebraElement(alpha.field, mode, {alpha: coeff})
-
-
-def id_add(field: NumberField, mode: str = EXACT) -> AlgebraElement:
-    """Identity of the Cauchy product: the unit monomial at index 0."""
-    return monomial(field.zero, 1, mode)
-
-
-def id_mul(field: NumberField, mode: str = EXACT) -> AlgebraElement:
-    """Identity of the Dirichlet product: the unit monomial at index 1."""
-    return monomial(field.one, 1, mode)
 
 
 # -- projective comparison -------------------------------------------
@@ -246,29 +232,3 @@ def projective_eq(f: AlgebraElement, g: AlgebraElement, tol: float = 1e-12) -> b
         for k in items[1:]
     )
 
-
-# -- functional aliases matching the operation surface ---------------
-
-
-def cauchy_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f.cauchy(g)
-
-
-def dirichlet_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f.dirichlet(g)
-
-
-def trace_functional(f: AlgebraElement):
-    return f.trace()
-
-
-def is_in_ideal(f: AlgebraElement) -> bool:
-    return f.is_in_ideal()
-
-
-def projectivize(f: AlgebraElement) -> ProjectiveClass:
-    return f.projectivize()
-
-
-def monomial_compose(f: AlgebraElement, alpha: FieldElement) -> AlgebraElement:
-    return f.compose_index(alpha)

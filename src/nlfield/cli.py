@@ -33,6 +33,7 @@ from .numberfield import (
     cyclotomic_field,
     define_field,
     is_in_inverse_different,
+    poly_at,
     quadratic_field,
 )
 from .parser import parse_algebra, parse_element
@@ -252,6 +253,8 @@ def cmd_galois(ctx, args):
                  f"group of order {G.order}")
         return 0
     if args.action == "verify":
+        if not args.image and args.family is None:
+            raise SystemExit2("galois verify needs --family or --image")
         if args.image:
             sigmas = [make_automorphism(field, parse_element(args.image, field))]
         else:
@@ -354,7 +357,7 @@ def cmd_hardy(ctx, args):
         return 0
     if args.action == "ortho":
         dp = field.minpoly.derivative()
-        scale = _eval_poly(dp, field.gen).inverse()
+        scale = poly_at(dp, field.gen).inverse()
         d = field.degree
         chars = []
         for coords in itertools.product(range(-args.height, args.height + 1), repeat=d):
@@ -376,13 +379,6 @@ def cmd_hardy(ctx, args):
         )
         return 0 if passed else 1
     raise SystemExit2(f"unknown hardy action {args.action!r}")
-
-
-def _eval_poly(p: Poly, x):
-    out = x.field.zero
-    for c in reversed(p.coeffs):
-        out = out * x + x.field.from_rational(c)
-    return out
 
 
 def cmd_verify(ctx, args):
@@ -520,6 +516,7 @@ _REQUIRED = {
     ("dirichlet", "conv"): ("--in2",),
     ("dirichlet", "mellin"): ("--y",),
     ("galois", "flow"): ("--r", "--expr"),
+    ("galois", "group"): ("--family",),
 }
 
 
@@ -535,7 +532,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NlfieldError, ValueError, OSError) as exc:
+    except (NlfieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@
 The rational field's algebra restricted to positive integer indices is
 the classical setting: c_n = sum_{d|n} a_d b_{n/d}, Moebius-style
 inversion by the standard recursion, and the finite Mellin evaluation
-D_f(y) = sum a_n n^(-2 pi i y).  Divisors are enumerated through a
-smallest-prime-factor sieve shared by all series of the same bound.
+D_f(y) = sum a_n n^(-2 pi i y).  Convolution and inversion run in
+sieve order, over the multiples of each nonzero coefficient's index;
+`divisors_of` enumerates divisors through a smallest-prime-factor sieve.
 """
 
 from __future__ import annotations
@@ -117,35 +118,47 @@ def to_algebra(s: IntegerSeries) -> AlgebraElement:
 
 
 def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
-    """Dirichlet convolution c_n = sum_{d|n} a_d b_{n/d}, truncated."""
+    """Dirichlet convolution c_n = sum_{d|n} a_d b_{n/d}, truncated, in sieve
+    order: each nonzero a_d meets each nonzero b_k with dk <= N."""
     if f.N != g.N or f.mode != g.mode:
         raise ValueError("series must share bound and mode")
     N = f.N
-    out = [coeffs.zero(f.mode)] * N
-    for n in range(1, N + 1):
-        acc = coeffs.zero(f.mode)
-        for d in divisors_of(n, N):
-            acc = acc + f[d] * g[n // d]
-        out[n - 1] = acc
-    return IntegerSeries(N, out, f.mode)
+    out = [coeffs.zero(f.mode)] * (N + 1)
+    bs = [(k, c) for k, c in enumerate(g.a, 1) if not coeffs.is_zero(c)]
+    for d, ad in enumerate(f.a, 1):
+        if coeffs.is_zero(ad):
+            continue
+        top = N // d
+        for k, bk in bs:
+            if k > top:
+                break
+            out[d * k] = out[d * k] + ad * bk
+    return IntegerSeries(N, out[1:], f.mode)
 
 
 def dinvert(f: IntegerSeries) -> IntegerSeries:
-    """Dirichlet inverse: dconv(f, result) = delta_1 up to N."""
+    """Dirichlet inverse: dconv(f, result) = delta_1 up to N.  Each b_d, once
+    final, is pushed forward into the sums of its multiples."""
     if coeffs.is_zero(f[1]):
         raise NotInvertibleError("leading coefficient a_1 is zero")
     N = f.N
     one = coeffs.one(f.mode)
     inv_a1 = one / f[1] if f.mode == EXACT else 1.0 / f[1]
-    b = [coeffs.zero(f.mode)] * N
-    b[0] = one * inv_a1
-    for n in range(2, N + 1):
-        acc = coeffs.zero(f.mode)
-        for d in divisors_of(n, N):
-            if d < n:
-                acc = acc + b[d - 1] * f[n // d]
-        b[n - 1] = -(acc * inv_a1)
-    return IntegerSeries(N, b, f.mode)
+    acc = [coeffs.zero(f.mode)] * (N + 1)
+    b = [coeffs.zero(f.mode)] * (N + 1)
+    b[1] = one * inv_a1
+    tail = [(k, c) for k, c in enumerate(f.a[1:], 2) if not coeffs.is_zero(c)]
+    for n in range(1, N + 1):
+        if n > 1:
+            b[n] = -(acc[n] * inv_a1)
+        if coeffs.is_zero(b[n]):
+            continue
+        top = N // n
+        for k, ak in tail:
+            if k > top:
+                break
+            acc[n * k] = acc[n * k] + b[n] * ak
+    return IntegerSeries(N, b[1:], f.mode)
 
 
 def mellin_eval(f: IntegerSeries, y: float) -> complex:

@@ -16,17 +16,20 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 
 from . import coeffs
 from .algebra import AlgebraElement, monomial
-from .errors import NotAnAutomorphismError
+from .errors import FieldMismatchError, NotAnAutomorphismError
 from .numberfield import (
     FieldElement,
     NumberField,
+    PowerMap,
     absolute_trace,
     cyclotomic_field,
     embed_vector,
     minimal_polynomial_of,
+    poly_at,
     trace_on_infinity,
 )
 from .signs import sign_of
@@ -45,12 +48,16 @@ class Automorphism:
         self.field = field
         self.image = image
 
+    @cached_property
+    def _matrix(self) -> PowerMap:
+        return PowerMap(self.image, self.field.degree)
+
     def apply(self, a: FieldElement) -> FieldElement:
-        """Evaluate the coordinate polynomial of a at the generator image."""
-        acc = a.field.zero
-        for c in reversed(a.coords):
-            acc = acc * self.image + a.field.from_rational(c)
-        return acc
+        """Evaluate the coordinate polynomial of a at the generator image,
+        as the matrix whose columns are the images of the power basis."""
+        if a.field != self.field:
+            raise FieldMismatchError("element of a different field")
+        return self._matrix(a.num, a.den)
 
     def __call__(self, a: FieldElement) -> FieldElement:
         return self.apply(a)
@@ -273,25 +280,18 @@ class TowerEmbedding:
     def __post_init__(self):
         if self.generator_image.field != self.extension:
             raise NotAnAutomorphismError("image must live in the extension")
-        val = _eval_poly_at(self.base.minpoly, self.generator_image)
-        if not val.is_zero:
+        if not poly_at(self.base.minpoly, self.generator_image).is_zero:
             raise NotAnAutomorphismError(
                 "image does not satisfy the base minimal polynomial"
             )
 
+    @cached_property
+    def _matrix(self) -> PowerMap:
+        return PowerMap(self.generator_image, self.base.degree)
+
     def embed_element(self, a: FieldElement) -> FieldElement:
         assert a.field == self.base
-        acc = self.extension.zero
-        for c in reversed(a.coords):
-            acc = acc * self.generator_image + self.extension.from_rational(c)
-        return acc
-
-
-def _eval_poly_at(p, a: FieldElement) -> FieldElement:
-    acc = a.field.zero
-    for c in reversed(p.coeffs):
-        acc = acc * a + a.field.from_rational(c)
-    return acc
+        return self._matrix(a.num, a.den)
 
 
 def fixed_field_check(sigma: Automorphism, tower: TowerEmbedding,

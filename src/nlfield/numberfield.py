@@ -1,10 +1,12 @@
 """Exact arithmetic in a number field K = Q[x]/(p) with certified embeddings.
 
-A field is defined by a monic irreducible polynomial.  Elements live in
-the power basis 1, a, ..., a^(d-1) with exact rational coordinates, so
-representations are canonical and equality is literal.  Embeddings into
-R and C are certified: every numeric answer comes as a rational-endpoint
-box guaranteed to contain the true value, refinable to any width.
+A field is defined by a monic irreducible polynomial p.  Elements live
+in the power basis 1, a, ..., a^(d-1) as integer numerators over one
+denominator, reduced by their gcd, so equality is literal; products fold
+through a table of x^k mod p (Cohen, A Course in Computational Algebraic
+Number Theory, 4.2).  Embeddings into R and C are certified: every
+numeric answer comes as a rational-endpoint box guaranteed to contain the
+true value, refinable to any width.
 
 Root enclosures come from one function, `isolate_roots`.  mpmath's
 polyroots supplies approximations; each is moved to a dyadic centre c
@@ -19,10 +21,10 @@ dyadic grid and keeps a monotone cache.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import mpmath
 import sympy
@@ -264,6 +266,12 @@ class NumberField:
     def __init__(self, minpoly: Poly):
         self.minpoly = minpoly
         self.degree = minpoly.degree
+        self._hash = hash(minpoly)
+        self._reduction = den, table = _reduction_table(minpoly)
+        # den Tr(x^i) = den sum_j [x^j] x^(i+j), read off the table where i + j >= d
+        d = self.degree
+        self._traces = [d * den] + [sum(table[i + j - d][j] for j in range(d - i, d))
+                                    for i in range(1, d)]
         self._places: list[Place] | None = None
         self._basis_cache: list[FieldElement] | None = None
         self._sign_cache: dict = {}
@@ -286,13 +294,14 @@ class NumberField:
     # -- constructors ------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != self.degree:
-            raise ValueError(f"need {self.degree} coordinates, got {len(cs)}")
-        return FieldElement(self, cs)
+        num, den = _over_common_denominator(coords)
+        if len(num) != self.degree:
+            raise ValueError(f"need {self.degree} coordinates, got {len(num)}")
+        return FieldElement(self, num, den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([q] + [0] * (self.degree - 1))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     @property
     def zero(self) -> "FieldElement":
@@ -320,22 +329,71 @@ class NumberField:
     # -- identity ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return self is other or (isinstance(other, NumberField) and self.minpoly == other.minpoly)
 
     def __hash__(self) -> int:
-        return hash(self.minpoly)
+        return self._hash
 
     def __repr__(self):
         return f"NumberField(deg={self.degree}, minpoly={self.minpoly})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    field: NumberField
-    coords: tuple
+def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
-    def __post_init__(self):
-        assert len(self.coords) == self.field.degree
+
+def _reduction_table(minpoly: Poly) -> tuple[int, list]:
+    """x^k mod minpoly for d <= k <= 2d - 2 (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.2): (den, rows), where row
+    k - d holds the power-basis coordinates of x^k times den."""
+    d = minpoly.degree
+    xd = [-c for c in minpoly.coeffs[:d]]  # x^d, as minpoly is monic
+    rows, row = [], xd
+    for _ in range(d - 1):
+        rows.append(row)
+        row = [row[-1] * r + c for r, c in zip(xd, [0] + row[:-1])]  # times x
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return den, [[int(c * den) for c in r] for r in rows]
+
+
+class FieldElement:
+    """Power-basis coordinates as integer numerators `num` over one positive
+    denominator `den`, with gcd(num, den) = 1.  `coords`, the rational
+    coordinates, is built on first use.  Elements are values: the hash is
+    cached, so `num`, `den` and `field` are never reassigned."""
+
+    __slots__ = ("field", "num", "den", "_hash", "_coords")
+
+    def __init__(self, field: NumberField, num, den: int = 1):
+        assert len(num) == field.degree and den > 0
+        g = gcd(*num, den)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        self.field = field
+        self.num = tuple(num)
+        self.den = den
+        self._hash = None
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            self._coords = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coords
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.field == other.field)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
+        return self._hash
 
     # -- arithmetic --------------------------------------------------
 
@@ -347,24 +405,42 @@ class FieldElement:
 
     def __add__(self, other) -> "FieldElement":
         other = self._coerce(other)
-        self._check(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        if other.field is not self.field:
+            self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
+        else:
+            num = [x * db + y * da for x, y in zip(self.num, other.num)]
+            da *= db
+        return FieldElement(self.field, num, da)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "FieldElement":
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "FieldElement":
+        """Schoolbook product of the numerators, folded back to degree
+        < d through the field's reduction table."""
         other = self._coerce(other)
-        self._check(other)
-        prod = Poly(self.coords) * Poly(other.coords)
-        red = prod % self.field.minpoly
-        cs = list(red.coeffs) + [Fraction(0)] * (self.field.degree - len(red.coeffs))
-        return FieldElement(self.field, tuple(cs))
+        if other.field is not self.field:
+            self._check(other)
+        a, b = self.num, other.num
+        d = len(a)
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        den, table = self.field._reduction
+        out = prod[:d] if den == 1 else [den * c for c in prod[:d]]
+        for c, row in zip(prod[d:], table):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return FieldElement(self.field, out, den * self.den * other.den)
 
     def __rmul__(self, other) -> "FieldElement":
         return self * other
@@ -375,9 +451,8 @@ class FieldElement:
         g, s, _ = poly_xgcd(Poly(self.coords), self.field.minpoly)
         # minpoly irreducible and self nonzero, so the gcd is 1
         assert g == Poly([1])
-        red = s % self.field.minpoly
-        cs = list(red.coeffs) + [Fraction(0)] * (self.field.degree - len(red.coeffs))
-        return FieldElement(self.field, tuple(cs))
+        cs = (s % self.field.minpoly).coeffs
+        return self.field.element(cs + (0,) * (self.field.degree - len(cs)))
 
     def __truediv__(self, other) -> "FieldElement":
         other = self._coerce(other)
@@ -398,25 +473,52 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             return other
-        return self.field.from_rational(Fraction(other))
+        return self.field.from_rational(other)
 
     # -- predicates --------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
+
+
+class PowerMap:
+    """c -> c_0 + c_1 y + ... + c_(n-1) y^(n-1) as an integer matrix over one
+    denominator, its columns the powers of y: the one evaluator of a rational
+    polynomial at a field element, and the matrix of an automorphism or a
+    tower embedding (y the image of the generator)."""
+
+    __slots__ = ("field", "rows", "den")
+
+    def __init__(self, y: FieldElement, n: int):
+        powers = [y.field.one]
+        for _ in range(1, n):
+            powers.append(powers[-1] * y)
+        self.field, self.den = y.field, lcm(*(p.den for p in powers))
+        self.rows = list(zip(*([c * (self.den // p.den) for c in p.num] for p in powers)))
+
+    def __call__(self, num, den: int = 1) -> FieldElement:
+        """The image of the vector num / den (at most n entries)."""
+        return FieldElement(self.field, [sum(map(mul, row, num)) for row in self.rows],
+                            self.den * den)
+
+
+def poly_at(p: Poly, y: FieldElement) -> FieldElement:
+    """p(y), exactly, in the field of y."""
+    num, den = _over_common_denominator(p.coeffs)
+    return PowerMap(y, len(num))(num, den)
 
 
 # -- field construction ---------------------------------------------
@@ -446,11 +548,9 @@ def define_field(minpoly: Poly) -> NumberField:
 
 
 def absolute_trace(a: FieldElement) -> Fraction:
-    """Trace of multiplication-by-a in the power basis, computed exactly."""
-    tr = Fraction(0)
-    for j, bj in enumerate(a.field.power_basis()):
-        tr += (a * bj).coords[j]
-    return tr
+    """Trace of multiplication-by-a in the power basis, computed exactly
+    as sum_i a_i Tr(x^i)."""
+    return Fraction(sum(map(mul, a.num, a.field._traces)), a.field._reduction[0] * a.den)
 
 
 def minimal_polynomial_of(a: FieldElement) -> Poly:
@@ -468,11 +568,7 @@ def minimal_polynomial_of(a: FieldElement) -> Poly:
     _, factors = sympy.Poly(charpoly.as_expr(), _sym_x).factor_list()
     for fac, _mult in factors:
         p = _from_sympoly(fac.monic())
-        # evaluate p at a, exactly, inside K
-        acc = a.field.zero
-        for c in reversed(p.coeffs):
-            acc = acc * a + a.field.from_rational(c)
-        if acc.is_zero:
+        if poly_at(p, a).is_zero:
             cache[key] = p
             return p
     raise AssertionError("characteristic polynomial has no factor vanishing at a")
@@ -529,7 +625,7 @@ def is_in_inverse_different(a: FieldElement) -> bool:
 
 def is_in_power_order(a: FieldElement) -> bool:
     """Membership in Z[alpha]: all power-basis coordinates integral."""
-    return all(c.denominator == 1 for c in a.coords)
+    return a.den == 1
 
 
 # -- convenience fields used throughout the suites -------------------

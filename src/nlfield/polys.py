@@ -1,8 +1,8 @@
 """Univariate polynomials with exact rational coefficients.
 
 Coefficients are stored lowest degree first.  The zero polynomial is the
-empty tuple.  This is deliberately minimal: just what field construction,
-reduction modulo a minimal polynomial, and extended gcd need.  Heavy
+empty tuple.  This is deliberately minimal: just what field construction
+and inversion modulo a minimal polynomial (extended gcd) need.  Heavy
 lifting (irreducibility, factoring, characteristic polynomials) is
 delegated to sympy in numberfield.py.
 """
@@ -109,9 +109,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
@@ -120,19 +117,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        """Horner evaluation at an exact rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -148,13 +132,6 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[x]."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, JSON output, CSV plumbing."""
 
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlfield.cli import main
 
@@ -132,3 +136,106 @@ def test_session_save_load_round_trip(tmp_path, capsys):
     code, doc, _ = run(capsys, "session", "load", other)
     assert code == 0
     assert doc["counts"]["fields"] == 1
+
+
+# -- exit-code contract on arbitrary argv --------------------------------
+
+
+def _groups(*groups, max_size=3):
+    """Any few of the option groups, flattened into one argv fragment."""
+    return st.lists(st.sampled_from(groups), max_size=max_size).map(
+        lambda gs: [arg for g in gs for arg in g])
+
+
+_FIELD_OPTS = _groups(
+    *(["--quadratic", n] for n in ["2", "-1", "-7", "0", "1", "4", "x", ""]),
+    *(["--cyclotomic", n] for n in ["4", "5", "8", "1", "2", "0", "-3", "100"]),
+    *(["--minpoly", p] for p in ["0,1", "1,0,1", "-2,0,1", "1,0,2", "0,0,1", "1", "", ",",
+                                 "a,b", "1/0,1", "-1/2,0,1"]),
+    ["--field", "K"], ["--field", "nope"], max_size=2)
+
+_EXPRS = st.one_of(st.sampled_from([
+    "a", "1+a", "(1+a)^2", "a^-1", "1/a", "a/0", "1/0", "0", "0^-1", "2^100",
+    "z^{1}", "z^{0}+2*z^{a}", "3*z^{1/2}-z^{0}", "z^{0}", "z^{", "z^{1", "(", "a^^2",
+    "", "  ", "a^(1/2)", "1e400", "z^{1}/z^{0}", "i*z^{1}",
+]), st.text(max_size=12))
+
+
+@st.composite
+def cli_argv(draw, csv_paths, out_path):
+    """Global options, a subcommand with one of its actions, then operands
+    and options drawn from valid and malformed values ("verify" is left
+    out: it runs whole suites)."""
+    def one(*xs):
+        return draw(st.sampled_from(xs))
+
+    argv = draw(_groups(["--json"], ["--precision", "3"], ["--session", out_path + ".session"],
+                        max_size=2))
+    field = draw(_FIELD_OPTS)
+    cmd = one("field", "elem", "alg", "galois", "dirichlet", "hardy", "session")
+    if cmd == "field":
+        rest = [one("new", "list", "bogus")] + field + one([], ["--name", "K"])
+    elif cmd == "elem":
+        rest = [one("eval", "trace", "minpoly", "sign", "cone"), draw(_EXPRS)] + field
+    elif cmd == "alg":
+        rest = [one("cauchy", "dirichlet", "trace", "grade", "proj")] + draw(
+            st.lists(_EXPRS, min_size=1, max_size=2)) + field + one([], ["--approx"])
+    elif cmd == "galois":
+        rest = [one("group", "verify", "trace-collapse", "flow")] + field + draw(_groups(
+            *(["--family", f] for f in ["quadratic", "cyclotomic(4)", "cyclotomic(x)", "bogus"]),
+            *(["--image", e] for e in ["-a", "a^3", "z", ""]),
+            *(["--samples", n] for n in ["2", "0", "-1"]),
+            *(["--kmax", n] for n in ["3", "1", "-2"]),
+            *(["--r", r] for r in ["0.5", "0.5,0.25", "x", ""]),
+            ["--kind", "psi"], ["--expr", "z^{1}"], ["--expr", "z^{"], max_size=4))
+    elif cmd == "dirichlet":
+        rest = [one("conv", "invert", "mellin"), "--in", one(*csv_paths),
+                "--N", one("12", "1", "0", "-3", "x")] + draw(_groups(
+                    ["--in2", one(*csv_paths)], ["--y", "0.5,1"], ["--y", "x"], ["--y", ""],
+                    ["--out", out_path + ".csv"]))
+    elif cmd == "hardy":
+        action = one("eval", "norm", "ortho")
+        opts = draw(_groups(
+            ["--t", "0.5"], ["--t", "0"], ["--t", "-1"], ["--t", "nan"], ["--x", "inf"],
+            ["--ladder", "3"], ["--ladder", "-1"], ["--grid", "8"], ["--grid", "0"],
+            ["--height", "1"], ["--height", "-1"], ["--out", out_path + ".ladder.csv"]))
+        if action == "ortho" and "--grid" not in opts:
+            opts += ["--grid", "8", "--height", "1"]  # the default grid is slow
+        rest = [action] + draw(st.lists(_EXPRS, max_size=1)) + field + opts
+    else:
+        rest = [one("save", "load")] + one([], [out_path + ".saved"], [csv_paths[0]],
+                                           [out_path + ".none"])
+    return argv + [cmd] + rest
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    rows = {"ok.csv": "n,re,im\n1,1,0\n2,-1,0\n3,1/2,1\n",
+            "zero.csv": "n,re,im\n2,1,0\n",
+            "bad.csv": "n,re,im\nx,1,0\n",
+            "range.csv": "n,re,im\n99,1,0\n",
+            "frac.csv": "n,re,im\n1,1/0,0\n",
+            "empty.csv": ""}
+    for name, text in rows.items():
+        (d / name).write_text(text)
+    return [str(d / name) for name in rows] + [str(d / "missing.csv")], str(d / "out")
+
+
+def test_exit_code_contract_fuzz(fuzz_files):
+    """Any argv exits 0, 1 or 2 and never prints a traceback."""
+    csv_paths, out_path = fuzz_files
+
+    @given(cli_argv(csv_paths, out_path))
+    @settings(max_examples=300, deadline=5000, derandomize=True)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

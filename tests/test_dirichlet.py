@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfield.algebra import monomial
+from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.dirichlet import (
     IntegerSeries,
     dconv,
@@ -108,3 +110,48 @@ def test_mellin_bridge_small():
 def test_mellin_at_zero_is_coefficient_sum():
     f = IntegerSeries(10, [1, 2, 0, 0, 3, 0, 0, 0, 0, 0])
     assert abs(mellin_eval(f, 0.0) - 6) < 1e-12
+
+
+def _divisor_sum_conv(a, b, zero):
+    """c_n = sum over d | n of a_d b_(n/d), by trial division; the lists
+    hold a_1..a_N."""
+    return [sum((a[d - 1] * b[n // d - 1] for d in range(1, n + 1) if n % d == 0), zero)
+            for n in range(1, len(a) + 1)]
+
+
+def _divisor_sum_inverse(a, zero, one):
+    """b_1 = 1/a_1 and b_n = -(sum over d | n, d < n of b_d a_(n/d)) / a_1."""
+    b = [one / a[0]]
+    for n in range(2, len(a) + 1):
+        acc = sum((b[d - 1] * a[n // d - 1] for d in range(1, n) if n % d == 0), zero)
+        b.append(-(acc / a[0]))
+    return b
+
+
+# sparse Gaussian-integer coefficients (a third of them zero), N <= 60
+gauss_pairs = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda t: t if t[0] % 3 else (0, 0)),
+    min_size=1, max_size=60)
+
+
+def _close(got, want):
+    scale = 1 + max(abs(w) for w in want)
+    return all(abs(x - w) <= 1e-9 * scale for x, w in zip(got, want))
+
+
+@given(gauss_pairs, gauss_pairs, st.sampled_from([EXACT, APPROX]))
+@settings(max_examples=80, deadline=None)
+def test_dconv_dinvert_match_divisor_sums(a, b, mode):
+    N = min(len(a), len(b))
+    if mode == EXACT:
+        zero, one = GaussRat(), GaussRat(Fraction(1))
+        a, b = ([GaussRat(Fraction(re), Fraction(im)) for re, im in v[:N]] for v in (a, b))
+    else:
+        zero, one = 0j, 1 + 0j
+        a, b = ([complex(re, im) for re, im in v[:N]] for v in (a, b))
+    f, g = IntegerSeries(N, a, mode), IntegerSeries(N, b, mode)
+    want = _divisor_sum_conv(a, b, zero)
+    assert dconv(f, g).a == want if mode == EXACT else _close(dconv(f, g).a, want)
+    if a[0] != zero:
+        want = _divisor_sum_inverse(a, zero, one)
+        assert dinvert(f).a == want if mode == EXACT else _close(dinvert(f).a, want)

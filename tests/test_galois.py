@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlfield.algebra import AlgebraElement, monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
@@ -25,6 +27,7 @@ from nlfield.galois import (
 )
 from nlfield.hardy import l2_norm
 from nlfield.numberfield import cyclotomic_field, quadratic_field
+from nlfield.polys import Poly
 
 
 def test_not_an_automorphism_rejected():
@@ -178,3 +181,36 @@ def test_identity_automorphism_action_is_trivial():
     e = identity_automorphism(K)
     x = K.element([2, 3])
     assert e.apply(x) == x
+
+
+def _horner_mod(coords, image, minpoly):
+    """sum_j c_j image^j by Horner over Poly, reduced mod minpoly: the
+    reference for the matrix form of apply and embed_element."""
+    acc = Poly()
+    for c in reversed(coords):
+        acc = (acc * Poly(image.coords) + Poly([c])) % minpoly
+    return acc.coeffs + (Fraction(0),) * (minpoly.degree - len(acc.coeffs))
+
+
+_GROUPS = [(quadratic_field(2), "quadratic"), (quadratic_field(-7), "quadratic"),
+           (cyclotomic_field(5), "cyclotomic(5)"), (cyclotomic_field(8), "cyclotomic(8)"),
+           (cyclotomic_field(12), "cyclotomic(12)")]
+_rats = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+
+
+@given(st.sampled_from(_GROUPS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_apply_matrix_matches_horner(group, data):
+    K, family = group
+    sigma = data.draw(st.sampled_from(group_from_family(K, family).elements))
+    a = K.element(data.draw(st.lists(_rats, min_size=K.degree, max_size=K.degree)))
+    assert sigma.apply(a).coords == _horner_mod(a.coords, sigma.image, K.minpoly)
+
+
+@given(st.lists(_rats, min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_embed_element_matrix_matches_horner(coords):
+    K, L = quadratic_field(2), cyclotomic_field(8)
+    tower = TowerEmbedding(K, L, L.gen + L.gen ** 7)
+    got = tower.embed_element(K.element(coords)).coords
+    assert got == _horner_mod(coords, tower.generator_image, L.minpoly)

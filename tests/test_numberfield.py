@@ -1,6 +1,7 @@
 """Exact field arithmetic, places, traces, and the inverse different."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nlfield.errors import NotMonicError, ReduciblePolynomialError
 from nlfield.numberfield import (
+    FieldElement,
     absolute_trace,
     cyclotomic_field,
     define_field,
@@ -131,3 +133,69 @@ def test_trace_is_additive(a, b, c, d):
     K = cyclotomic_field(4)
     x, y = K.element([a, b]), K.element([c, d])
     assert absolute_trace(x + y) == absolute_trace(x) + absolute_trace(y)
+
+
+# -- integer-backed elements: laws, canonical form, the reduction table --
+
+# Q, Q(sqrt2), Q(zeta5), Q(zeta8), the degree-6 field of criterion 6, and
+# two fields with rational coefficients, so the table denominator is not 1
+ARITH_FIELDS = {
+    "Q": [0, 1],
+    "Q(sqrt2)": [-2, 0, 1],
+    "Q(zeta5)": [1, 1, 1, 1, 1],
+    "Q(zeta8)": [1, 0, 0, 0, 1],
+    "deg6": [100, 120, 84, 52, 24, 6, 1],
+    "x^2-1/2": [Fraction(-1, 2), 0, 1],
+    "x^3-x/3+1/5": [Fraction(1, 5), Fraction(-1, 3), 0, 1],
+}
+
+
+@lru_cache(maxsize=None)
+def arith_field(name):
+    return define_field(Poly(ARITH_FIELDS[name]))
+
+
+@st.composite
+def field_and_elements(draw, n):
+    K = arith_field(draw(st.sampled_from(sorted(ARITH_FIELDS))))
+    coords = st.lists(small_rats, min_size=K.degree, max_size=K.degree)
+    return (K, *(K.element(draw(coords)) for _ in range(n)))
+
+
+@given(field_and_elements(3))
+@settings(max_examples=150, deadline=None)
+def test_field_element_ring_laws(kabc):
+    K, a, b, c = kabc
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) - b == a
+    if not a.is_zero:
+        assert a * a.inverse() == K.one
+
+
+@given(field_and_elements(1), st.integers(1, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_field_element_canonical_form(ka, m):
+    K, a = ka
+    unreduced = FieldElement(K, [m * c for c in a.num], m * a.den)
+    assert (unreduced.num, unreduced.den) == (a.num, a.den)
+    assert unreduced == a and hash(unreduced) == hash(a)
+    assert K.element(a.coords) == a
+    assert a.coords == tuple(Fraction(c, a.den) for c in a.num)
+
+
+@given(field_and_elements(2))
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_polynomial_remainder(kab):
+    K, a, b = kab
+    rem = (Poly(a.coords) * Poly(b.coords)) % K.minpoly
+    want = rem.coeffs + (Fraction(0),) * (K.degree - len(rem.coeffs))
+    assert (a * b).coords == want
+
+
+@given(field_and_elements(1))
+@settings(max_examples=100, deadline=None)
+def test_trace_is_the_trace_of_multiplication(ka):
+    K, a = ka
+    assert absolute_trace(a) == sum((a * b).coords[j] for j, b in enumerate(K.power_basis()))
