@@ -143,15 +143,6 @@ class AlgebraElement:
             out[zero_idx] = out.get(zero_idx, coeffs.zero(self.mode)) + d0
         return AlgebraElement(self.field, self.mode, out)
 
-    def compose_index(self, alpha: FieldElement) -> "AlgebraElement":
-        """Reindex every term by multiplying its index with alpha; equals
-        the Dirichlet product with the unit monomial at alpha."""
-        if alpha.is_zero:
-            raise ValueError("alpha = 0 is handled by the Dirichlet constant rule")
-        return AlgebraElement(
-            self.field, self.mode, {i * alpha: c for i, c in self.terms.items()}
-        )
-
     # -- trace, ideal, projectivization ------------------------------
 
     def trace(self):

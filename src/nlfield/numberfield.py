@@ -5,8 +5,11 @@ in the power basis 1, a, ..., a^(d-1) as integer numerators over one
 denominator, reduced by their gcd, so equality is literal; products fold
 through a table of x^k mod p (Cohen, A Course in Computational Algebraic
 Number Theory, 4.2).  Embeddings into R and C are certified: every
-numeric answer comes as a rational-endpoint box guaranteed to contain the
-true value, refinable to any width.
+numeric answer comes as an integer midpoint-radius ball (intervals.Ball)
+guaranteed to contain the true value, refinable to any width.  `embed`
+evaluates exactly at the dyadic centre of a place's ball and bounds the
+rest of the ball in integers, so no rational arithmetic runs on the way
+to a sign.
 
 Root enclosures come from one function, `isolate_roots`.  mpmath's
 polyroots supplies approximations; each is moved to a dyadic centre c
@@ -14,7 +17,7 @@ and certified by the inclusion disk |w - c| <= n |p(c)/p'(c)| (Rump,
 "Verification methods", Acta Numerica 19, 2010), whose radius is
 evaluated exactly in integers and rounded up.  n pairwise disjoint disks
 hold one root each, so a disk centred on R holds a real root and a disk
-off R a non-real one.  A place refines its box by Newton steps on a
+off R a non-real one.  A place refines its ball by Newton steps on a
 dyadic grid and keeps a monotone cache.
 """
 
@@ -35,7 +38,7 @@ from .errors import (
     ReduciblePolynomialError,
     UndecidedNumericallyError,
 )
-from .intervals import Box, RatInterval, eval_poly_box
+from .intervals import Ball, eval_poly_box, horner
 from .polys import Poly, poly_xgcd
 
 # Precision ladder: start at 2^-53, square the precision each round,
@@ -62,6 +65,15 @@ def _bits(width: Fraction) -> int:
     return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
+def _positive(width) -> Fraction:
+    """A requested width as a Fraction, which must be positive."""
+    if width.__class__ is not Fraction:
+        width = Fraction(width)
+    if width.numerator <= 0:
+        raise ValueError("width must be positive")
+    return width
+
+
 def _dyadic(x, k: int) -> int:
     """x * 2^k truncated to an integer, exactly, from mpmath's binary
     representation (sign, mantissa, exponent)."""
@@ -69,15 +81,6 @@ def _dyadic(x, k: int) -> int:
     shift = exp + k
     v = man << shift if shift >= 0 else man >> -shift
     return -v if sign else v
-
-
-def _horner(coeffs, re: int, im: int, k: int) -> tuple[int, int]:
-    """2^(k deg) p(c) at c = (re + im i) / 2^k, as a Gaussian integer."""
-    acc_re, acc_im, scale = coeffs[-1], 0, 1
-    for c in reversed(coeffs[:-1]):
-        scale <<= k
-        acc_re, acc_im = acc_re * re - acc_im * im + c * scale, acc_re * im + acc_im * re
-    return acc_re, acc_im
 
 
 def _newton(coeffs, re: int, im: int, k: int) -> tuple[int | None, int, int]:
@@ -88,8 +91,8 @@ def _newton(coeffs, re: int, im: int, k: int) -> tuple[int | None, int, int]:
     c - (d_re + d_im i) / 2^k is the Newton step from c rounded to the
     2^-k grid.  s is None where p'(c) = 0."""
     n = len(coeffs) - 1
-    a_re, a_im = _horner(coeffs, re, im, k)
-    b_re, b_im = _horner([j * c for j, c in enumerate(coeffs)][1:], re, im, k)
+    a_re, a_im = horner(coeffs, re, im, k)
+    b_re, b_im = horner([j * c for j, c in enumerate(coeffs)][1:], re, im, k)
     bb = b_re * b_re + b_im * b_im
     if bb == 0:
         return None, 0, 0
@@ -103,65 +106,57 @@ def _newton(coeffs, re: int, im: int, k: int) -> tuple[int | None, int, int]:
     return s, (2 * q_re + bb) // (2 * bb), (2 * q_im + bb) // (2 * bb)
 
 
-def _disk_box(re: int, im: int, k: int, s: int, real: bool) -> Box:
-    """The square around the disk |w - (re + im i)/2^k| <= s/2^k; pinned to
-    the real line for a root known to be real."""
-    d = 1 << k
-    im_iv = (RatInterval.point(0) if real
-             else RatInterval(Fraction(im - s, d), Fraction(im + s, d)))
-    return Box(RatInterval(Fraction(re - s, d), Fraction(re + s, d)), im_iv)
-
-
 class Place:
     """An archimedean place: one root of a squarefree polynomial, held as a
-    certified box that isolates it from the other roots.  Complex places of
-    a field store the representative root with positive imaginary part; the
-    conjugate embedding is obtained by reflection."""
+    certified ball on a dyadic grid that isolates it from the other roots.
+    Complex places of a field store the representative root with positive
+    imaginary part; the conjugate embedding is obtained by reflection."""
 
-    def __init__(self, coeffs: tuple, centre: tuple, isolating: Box, kind: str):
+    def __init__(self, coeffs: tuple, isolating: Ball, kind: str):
         assert kind in ("real", "complex")
         self.kind = kind
         self.isolating = isolating
         self._coeffs = coeffs  # integer multiple of the polynomial, lowest first
-        self._centre = centre  # (re, im, k): the dyadic point (re + im i) / 2^k
-        self._box = isolating
+        self._box = isolating  # the finest ball so far, centred on the 2^-k grid
 
     @property
     def is_real(self) -> bool:
         return self.kind == "real"
 
-    def box(self, width: Fraction) -> Box:
-        """Certified box of width <= width around the root, inside the
-        isolating box.  Refinement is monotone: a cached finer box is
-        reused as-is."""
-        width = Fraction(width)
-        if width <= 0:
-            raise ValueError("width must be positive")
-        if self._box.width <= width:
+    def box(self, width: Fraction) -> Ball:
+        """Certified ball of width <= width around the root, whose square
+        lies inside the isolating one.  Refinement is monotone: a cached
+        finer ball is reused as-is."""
+        width = _positive(width)
+        if self._box.fits(width):
             return self._box
-        re, im, k0 = self._centre
-        # a centre within 2^-k of the root gives a box of width about
+        re, im, k0 = self._centre()
+        # a centre within 2^-k of the root gives a ball of width about
         # 2 n 2^-k; the bitlen(n) + 2 guard bits bring that under the request
         k = max(k0, _bits(width) + (len(self._coeffs) - 1).bit_length() + 2)
         if k > 4 * k0:
             # Newton doubles the correct bits per step: climb on coarser grids
             self.box(Fraction(1, 1 << (k // 2)))
-            re, im, k0 = self._centre
+            re, im, k0 = self._centre()
         while Fraction(1, 1 << k) >= width * DEFAULT_WIDTH_CAP:
             re, im, k0 = re << (k - k0), im << (k - k0), k
             for _ in range(k.bit_length() + 2):
                 s, d_re, d_im = _newton(self._coeffs, re, im, k)
                 if s is not None:
-                    box, iso = _disk_box(re, im, k, s, self.is_real), self.isolating
-                    if (box.width <= width and iso.re.lo <= box.re.lo <= box.re.hi <= iso.re.hi
-                            and iso.im.lo <= box.im.lo <= box.im.hi <= iso.im.hi):
-                        self._centre, self._box = (re, im, k), box
+                    box = Ball(re, im, s, 1 << k, self.is_real)
+                    if box.fits(width) and box.inside(self.isolating):
+                        self._box = box
                         return box
                 if not (d_re or d_im):
                     break
                 re, im = re - d_re, im - d_im
             k *= 2
         raise UndecidedNumericallyError("root refinement hit the width cap")
+
+    def _centre(self) -> tuple[int, int, int]:
+        """(re, im, k): the centre (re + im i) / 2^k of the finest ball."""
+        b = self._box
+        return b.x, b.y, b.den.bit_length() - 1
 
     def __repr__(self):
         return f"Place({self.kind}, {self._box.mid})"
@@ -182,17 +177,20 @@ def _real_part_separation(coeffs) -> Fraction:
 def _compare_real_parts(u: Place, v: Place, separation) -> int:
     """-1, 0 or 1 as Re u <, =, > Re v.  Equality is proved once the hull of
     the two enclosures of 2 Re is narrower than the bound `separation()`.
-    Boxes of width w with 16 w^2 < separation() always decide, so that bound,
+    Balls of width w with 16 w^2 < separation() always decide, so that bound,
     not DEFAULT_WIDTH_CAP, ends the loop."""
     width = DEFAULT_START_WIDTH
     while True:
-        a, b = u.box(width).re, v.box(width).re
-        if a.hi < b.lo or b.hi < a.lo:
-            return -1 if a.hi < b.lo else 1
-        hull = 2 * (max(a.hi, b.hi) - min(a.lo, b.lo))
-        if hull * hull < separation():
+        a, b = u.box(width), v.box(width)
+        # the real parts as integer intervals over the denominator a.den b.den
+        a_lo, a_hi = (a.x - a.rad) * b.den, (a.x + a.rad) * b.den
+        b_lo, b_hi = (b.x - b.rad) * a.den, (b.x + b.rad) * a.den
+        if a_hi < b_lo or b_hi < a_lo:
+            return -1 if a_hi < b_lo else 1
+        hull, sep = 2 * (max(a_hi, b_hi) - min(a_lo, b_lo)), separation()
+        if hull * hull * sep.denominator < sep.numerator * (a.den * b.den) ** 2:
             return 0
-        if 16 * width * width < separation():
+        if 16 * width * width < sep:
             raise UndecidedNumericallyError("real parts undecided below the separation bound")
         # the first width that must decide: 2^-j with 16 * 4^-j < separation()
         width = max(width * width, Fraction(1, 1 << (_bits(separation() / 16) + 3) // 2))
@@ -200,7 +198,7 @@ def _compare_real_parts(u: Place, v: Place, separation) -> int:
 
 def isolate_roots(p: Poly) -> list[Place]:
     """Every root of the squarefree polynomial p as a Place with a certified
-    isolating box: real roots ascending, then one root of each conjugate
+    isolating ball: real roots ascending, then one root of each conjugate
     pair (Im > 0) by (re, im), then their conjugates in the same order.
 
     polyroots runs at doubling precision until the inclusion disks of its
@@ -234,25 +232,25 @@ def isolate_roots(p: Poly) -> list[Place]:
         prec *= 2
     else:
         raise UndecidedNumericallyError("could not separate root boxes")
-    places = [Place(coeffs, (re, im, prec), _disk_box(re, im, prec, s, im == 0),
+    places = [Place(coeffs, Ball(re, im, s, 1 << prec, im == 0),
                     "real" if im == 0 else "complex")
               for re, im, s in sorted(disks, key=lambda d: (d[1] != 0, d[0]))]
     r = len(real)
     separation = lru_cache(None)(lambda: _real_part_separation(coeffs))
     # the refinement that proves an order happens on copies, so the places
-    # keep their isolating boxes
+    # keep their isolating balls
     proof = {id(q): copy.copy(q) for q in places[r:]}
 
     def order(u: Place, v: Place) -> int:
-        if not u.isolating.re.overlaps(v.isolating.re):
-            return -1 if u.isolating.re.hi < v.isolating.re.lo else 1
+        a, b = u.isolating, v.isolating  # one denominator, 2^prec
+        if abs(a.x - b.x) > a.rad + b.rad:
+            return -1 if a.x < b.x else 1
         c = _compare_real_parts(proof[id(u)], proof[id(v)], separation)
-        # equal real parts: the disjoint boxes are apart in Im
-        return c or (-1 if u.isolating.im.hi < v.isolating.im.lo else 1)
+        # equal real parts: the disjoint squares are apart in Im
+        return c or (-1 if a.y < b.y else 1)
 
     upper = sorted(places[r:], key=cmp_to_key(order))
-    lower = [Place(coeffs, (q._centre[0], -q._centre[1], prec), q.isolating.conjugate(),
-                   "complex") for q in upper]
+    lower = [Place(coeffs, q.isolating.conjugate(), "complex") for q in upper]
     return places[:r] + upper + lower
 
 
@@ -574,25 +572,22 @@ def minimal_polynomial_of(a: FieldElement) -> Poly:
     raise AssertionError("characteristic polynomial has no factor vanishing at a")
 
 
-def embed(a: FieldElement, place: Place, width: Fraction = DEFAULT_START_WIDTH) -> Box:
-    """Certified box of width <= width containing the image of a at the place."""
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
+def embed(a: FieldElement, place: Place, width: Fraction = DEFAULT_START_WIDTH) -> Ball:
+    """Certified ball of width <= width containing the image of a at the
+    place: a real ball at a real place."""
+    width = _positive(width)
     root_w = min(width, DEFAULT_START_WIDTH)
     while True:
-        val = eval_poly_box(a.coords, place.box(root_w))
-        if val.width <= width:
+        val = eval_poly_box(a.num, a.den, place.box(root_w))
+        if val.fits(width):
             return val
         root_w = root_w * root_w
 
 
 def embed_value(a: FieldElement, place: Place, width=Fraction(1, 2**70)) -> complex:
-    """Float approximation of the embedding (midpoint of a certified box)."""
-    b = embed(a, place, width)
-    if place.is_real:
-        return complex(b.re.mid)
-    return b.mid
+    """Float approximation of the embedding: the correctly rounded midpoint
+    of a certified ball."""
+    return embed(a, place, width).mid
 
 
 def embed_vector(a: FieldElement, width=Fraction(1, 2**70)) -> list[complex]:

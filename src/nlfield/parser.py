@@ -25,6 +25,10 @@ from .coeffs import EXACT, GaussRat
 from .errors import ParseError
 from .numberfield import FieldElement, NumberField
 
+# |n| in a power x^n: larger exponents are rejected before any arithmetic,
+# since 2^(10^9) alone would take minutes and gigabytes to build
+MAX_EXPONENT = 10_000
+
 # -- AST -------------------------------------------------------------
 
 
@@ -180,6 +184,9 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.take("int")
+            if tok[1] > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT} in absolute value",
+                                 position=tok[2])
             node = Pow(node, sign * tok[1])
         return node
 
@@ -331,9 +338,13 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
 
 
 def _scalar_pow(v: GaussRat, n: int) -> GaussRat:
+    """v^n for n >= 0, by repeated squaring."""
     out = GaussRat(Fraction(1))
-    for _ in range(n):
-        out = out * v
+    while n:
+        if n & 1:
+            out = out * v
+        v = v * v
+        n >>= 1
     return out
 
 

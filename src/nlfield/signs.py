@@ -36,7 +36,6 @@ from .numberfield import (
 
 _SINGULAR_NAMES = {0: "+", 1: "sqrt-", 2: "-", 3: "-sqrt-"}
 _QUADRANT_NAMES = {0: "+e", 1: "sqrt-e", 2: "-e", 3: "-sqrt-e"}
-_NAME_TO_SIGN = {}
 
 
 @dataclass(frozen=True)
@@ -62,19 +61,23 @@ class ComplexSign:
         return self.name
 
 
+# the eight signs, built once: singular(e) and quadrant(e) are entries of
+# these tables, never fresh objects
+_SINGULAR = tuple(ComplexSign(e, False) for e in range(4))
+_QUADRANT = tuple(ComplexSign(e, True) for e in range(4))
+ALL_COMPLEX_SIGNS = _SINGULAR + _QUADRANT
+_NAME_TO_SIGN = {s.name: s for s in ALL_COMPLEX_SIGNS}
+# the open quadrant of (sign Re, sign Im)
+_QUADRANT_OF = {(1, 1): _QUADRANT[0], (-1, 1): _QUADRANT[1],
+                (-1, -1): _QUADRANT[2], (1, -1): _QUADRANT[3]}
+
+
 def singular(e: int) -> ComplexSign:
-    return ComplexSign(e % 4, False)
+    return _SINGULAR[e % 4]
 
 
 def quadrant(e: int) -> ComplexSign:
-    return ComplexSign(e % 4, True)
-
-
-ALL_COMPLEX_SIGNS = tuple(
-    [singular(e) for e in range(4)] + [quadrant(e) for e in range(4)]
-)
-for _s in ALL_COMPLEX_SIGNS:
-    _NAME_TO_SIGN[_s.name] = _s
+    return _QUADRANT[e % 4]
 
 
 def complex_sign_from_name(name: str) -> ComplexSign:
@@ -85,10 +88,10 @@ def sign_product(v1: ComplexSign, v2: ComplexSign) -> frozenset:
     """Set-valued product on the eight complex signs."""
     e = (v1.e + v2.e) % 4
     if not (v1.eps and v2.eps):
-        return frozenset({ComplexSign(e, v1.eps or v2.eps)})
+        return frozenset({(_QUADRANT if v1.eps or v2.eps else _SINGULAR)[e]})
     # quadrant times quadrant overflows into the turned singular sign and
     # the turned quadrant
-    return frozenset({quadrant(e), singular(e + 1), quadrant(e + 1)})
+    return frozenset({_QUADRANT[e], _SINGULAR[(e + 1) % 4], _QUADRANT[(e + 1) % 4]})
 
 
 # -- sign vectors ----------------------------------------------------
@@ -100,11 +103,6 @@ class SignVector:
 
     reals: tuple
     complexes: tuple
-
-    @property
-    def type_vector(self) -> tuple:
-        """'1' for singular components, 'e' for quadrant components."""
-        return tuple("e" if s.eps else "1" for s in self.complexes)
 
     def serialize(self) -> list[str]:
         return ["+" if r > 0 else "-" for r in self.reals] + [
@@ -158,10 +156,10 @@ def _matched_root(alpha: FieldElement, place: Place) -> Place:
 
 
 def _certified_real_sign(alpha: FieldElement, place: Place) -> int:
-    """Sign of a nonzero real embedded value, by interval refinement."""
+    """Sign of the real part of a nonzero embedded value, by refining its ball."""
     width = DEFAULT_START_WIDTH
     while True:
-        s = embed(alpha, place, width).re.sign()
+        s = embed(alpha, place, width).re_sign()
         if s is not None:
             return s
         if width < DEFAULT_WIDTH_CAP:
@@ -172,7 +170,7 @@ def _certified_real_sign(alpha: FieldElement, place: Place) -> int:
 def _certified_im_sign(alpha: FieldElement, place: Place) -> int:
     width = DEFAULT_START_WIDTH
     while True:
-        s = embed(alpha, place, width).im.sign()
+        s = embed(alpha, place, width).im_sign()
         if s is not None:
             return s
         if width < DEFAULT_WIDTH_CAP:
@@ -185,17 +183,16 @@ def _is_real_at(alpha: FieldElement, place: Place) -> bool:
 
 
 def _complex_sign_at(alpha: FieldElement, place: Place) -> ComplexSign:
-    # Fast path: two rounds of interval refinement settle any value
-    # off both axes without touching its minimal polynomial.  The widths
-    # stay moderate: squeezing complex root boxes much below 2^-40 costs
-    # more than the exact fallback it would save.
+    # Fast path: two rounds of ball refinement settle any value off both
+    # axes without touching its minimal polynomial.  The widths stay
+    # moderate: squeezing complex root balls much below 2^-40 costs more
+    # than the exact fallback it would save.
     width = DEFAULT_START_WIDTH
     for _ in range(2):
-        box = embed(alpha, place, width)
-        re_s, im_s = box.re.sign(), box.im.sign()
+        ball = embed(alpha, place, width)
+        re_s, im_s = ball.re_sign(), ball.im_sign()
         if re_s is not None and im_s is not None:
-            return {(1, 1): quadrant(0), (-1, 1): quadrant(1),
-                    (-1, -1): quadrant(2), (1, -1): quadrant(3)}[(re_s, im_s)]
+            return _QUADRANT_OF[re_s, im_s]
         width = width * DEFAULT_START_WIDTH
     # Near (or on) an axis: decide exactly through root matching.
     if _is_real_at(alpha, place):
@@ -204,11 +201,8 @@ def _complex_sign_at(alpha: FieldElement, place: Place) -> ComplexSign:
         # square is real and alpha is not: alpha lies on the imaginary axis
         assert _certified_real_sign(alpha * alpha, place) < 0
         return singular(1) if _certified_im_sign(alpha, place) > 0 else singular(3)
-    # off both axes: the quadrant is readable from a refined box
-    re_s = _certified_real_sign(alpha, place)
-    im_s = _certified_im_sign(alpha, place)
-    return {(1, 1): quadrant(0), (-1, 1): quadrant(1),
-            (-1, -1): quadrant(2), (1, -1): quadrant(3)}[(re_s, im_s)]
+    # off both axes: the quadrant is readable from a refined ball
+    return _QUADRANT_OF[_certified_real_sign(alpha, place), _certified_im_sign(alpha, place)]
 
 
 def sign_of(alpha: FieldElement) -> SignVector:

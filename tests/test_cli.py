@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,28 @@ def test_missing_operand_exit_code(capsys, argv, operand):
     assert "Traceback" not in err
 
 
+def test_elem_eval_power_below_the_exponent_bound(capsys):
+    code, doc, _ = run(capsys, "elem", "eval", "2^100", "--quadratic", "2")
+    assert code == 0
+    assert doc["element"]["coords"] == [str(2**100), "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["elem", "eval", "2^1000000000", "--quadratic", "2"],
+    ["alg", "trace", "2^1000000000*z^{a}", "--quadratic", "2"],
+])
+def test_huge_exponent_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent above")
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
 def test_json_flag_suppresses_summary(capsys):
     code, doc, err = run(capsys, "--json", "elem", "eval", "1+a",
                          "--quadratic", "2")
@@ -157,7 +180,7 @@ _FIELD_OPTS = _groups(
 _EXPRS = st.one_of(st.sampled_from([
     "a", "1+a", "(1+a)^2", "a^-1", "1/a", "a/0", "1/0", "0", "0^-1", "2^100",
     "z^{1}", "z^{0}+2*z^{a}", "3*z^{1/2}-z^{0}", "z^{0}", "z^{", "z^{1", "(", "a^^2",
-    "", "  ", "a^(1/2)", "1e400", "z^{1}/z^{0}", "i*z^{1}",
+    "", "  ", "a^(1/2)", "1e400", "z^{1}/z^{0}", "i*z^{1}", "2^1000000000",
 ]), st.text(max_size=12))
 
 
