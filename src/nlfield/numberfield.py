@@ -193,7 +193,7 @@ def _compare_real_parts(u: Place, v: Place, separation) -> int:
         if 16 * width * width < sep:
             raise UndecidedNumericallyError("real parts undecided below the separation bound")
         # the first width that must decide: 2^-j with 16 * 4^-j < separation()
-        width = max(width * width, Fraction(1, 1 << (_bits(separation() / 16) + 3) // 2))
+        width = max(width * width, Fraction(1, 1 << (_bits(sep / 16) + 3) // 2))
 
 
 def isolate_roots(p: Poly) -> list[Place]:
