@@ -2,13 +2,14 @@
 """Benchmark a change against its parent in alternating pairs of runs.
 
     python3 scripts/bench_pair.py --workload sign-certify --seeds 401-410 \\
-        --out BENCH_6.json [--base HEAD^] [--seconds 25] [--workdir DIR]
+        --out BENCH_6.json [--base HEAD^] [--workdir DIR]
 
 The parent revision (--base) is checked out into a temporary git worktree,
 which is removed afterwards; the change is the checkout holding this
 script.  Pair i runs `python3 perfbench/run.py --workload W --seed S_i
---seconds T` once on each side, the parent first in even pairs and the
-change first in odd ones, so drift on the host falls on both sides alike.
+--seconds T`, T the `run_seconds` of BENCHMARK.json, once on each side,
+the parent first in even pairs and the change first in odd ones, so drift
+on the host falls on both sides alike.
 
 The output file holds every run's end-to-end metrics (those listed in
 BENCHMARK.json), each side's median and quartiles per metric, and per
@@ -63,12 +64,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="first-last or a comma list")
     ap.add_argument("--out", required=True)
     ap.add_argument("--base", default="HEAD^", help="parent revision (default HEAD^)")
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--workdir", help="where the temporary worktree goes")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     base = _git("rev-parse", args.base)
     runs = {"parent": [], "change": []}
     tmp = tempfile.mkdtemp(prefix="bench-pair-", dir=args.workdir)
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(_run(trees[side], args.workload, seed, seconds))
             p, c = (runs[s][-1]["metrics"]["wall_s"] for s in ("parent", "change"))
             print(f"pair {i + 1} seed {seed}: wall_s parent {p:.3f} change {c:.3f}",
                   file=sys.stderr)
@@ -94,9 +96,9 @@ def main(argv=None) -> int:
         sign = 1 if direction == "lower" else -1
         wins[name] = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
     doc = {
-        "workload": args.workload, "seconds": args.seconds, "pairs": len(runs["change"]),
+        "workload": args.workload, "seconds": seconds, "pairs": len(runs["change"]),
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {args.seconds:g}",
+                   f"--seconds {seconds:g}",
         "parent": base, "change": _git("rev-parse", "HEAD"),
         "change_dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},

@@ -105,6 +105,8 @@ def eval_poly_box(num, den: int, ball: Ball) -> Ball:
     rho sum_j j |a_j| (|c| + rho)^(j-1), as |w^j - c^j| <= j rho (|c| + rho)^(j-1);
     |c| + rho is bounded by M = (|x| + |y| + rad) / 2^k.  Both are integers
     over den 2^(k n), n the degree of a."""
+    if ball.den & (ball.den - 1):
+        raise ValueError(f"ball denominator {ball.den} is not a power of two")
     n = len(num) - 1
     while n and not num[n]:
         n -= 1

@@ -25,9 +25,10 @@ from .coeffs import EXACT, GaussRat
 from .errors import ParseError
 from .numberfield import FieldElement, NumberField
 
-# |n| in a power x^n: larger exponents are rejected before any arithmetic,
-# since 2^(10^9) alone would take minutes and gigabytes to build
-MAX_EXPONENT = 10_000
+# bit height allowed in the two factors of each product of a power x^n:
+# past it the power is rejected before the product is formed, so the work
+# stays bounded however large n is and however powers nest
+MAX_POWER_BITS = 1 << 17
 
 # -- AST -------------------------------------------------------------
 
@@ -183,11 +184,7 @@ class _Parser:
             if self.peek()[0] == "-":
                 self.take()
                 sign = -1
-            tok = self.take("int")
-            if tok[1] > MAX_EXPONENT:
-                raise ParseError(f"exponent above {MAX_EXPONENT} in absolute value",
-                                 position=tok[2])
-            node = Pow(node, sign * tok[1])
+            node = Pow(node, sign * self.take("int")[1])
         return node
 
     def atom(self):
@@ -250,8 +247,8 @@ def eval_element(node, field: NumberField) -> FieldElement:
     if isinstance(node, Pow):
         base = eval_element(node.base, field)
         if node.exponent < 0:
-            return base.inverse() ** (-node.exponent)
-        return base ** node.exponent
+            return _bounded_pow(base.inverse(), -node.exponent, field.one, _element_bits)
+        return _bounded_pow(base, node.exponent, field.one, _element_bits)
     if isinstance(node, BinOp):
         a = eval_element(node.left, field)
         b = eval_element(node.right, field)
@@ -303,9 +300,10 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         v = eval_algebra(node.base, field, mode)
         if isinstance(v, AlgebraElement):
             raise ParseError("powers of algebra elements are ambiguous")
+        one = GaussRat(Fraction(1))
         if node.exponent < 0:
-            return _scalar_pow(GaussRat(Fraction(1)) / v, -node.exponent)
-        return _scalar_pow(v, node.exponent)
+            return _bounded_pow(one / v, -node.exponent, one, _scalar_bits)
+        return _bounded_pow(v, node.exponent, one, _scalar_bits)
     if isinstance(node, BinOp):
         a = eval_algebra(node.left, field, mode)
         b = eval_algebra(node.right, field, mode)
@@ -337,15 +335,32 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _scalar_pow(v: GaussRat, n: int) -> GaussRat:
-    """v^n for n >= 0, by repeated squaring."""
-    out = GaussRat(Fraction(1))
+def _bounded_pow(v, n: int, one, bits):
+    """v^n for n >= 0 by repeated squaring; raises ParseError before any
+    product whose factors hold more than MAX_POWER_BITS bits together."""
+    def check(size):
+        if size > MAX_POWER_BITS:
+            raise ParseError(f"power above {MAX_POWER_BITS} bits")
+
+    out = one
     while n:
         if n & 1:
+            check(bits(out) + bits(v))
             out = out * v
-        v = v * v
         n >>= 1
+        if n:
+            check(2 * bits(v))
+            v = v * v
     return out
+
+
+def _element_bits(a: FieldElement) -> int:
+    return max(abs(c).bit_length() for c in a.num) + a.den.bit_length()
+
+
+def _scalar_bits(v: GaussRat) -> int:
+    return max(abs(q.numerator).bit_length() + q.denominator.bit_length()
+               for q in (v.re, v.im))
 
 
 def parse_algebra(src: str, field: NumberField, mode: str = EXACT) -> AlgebraElement:

@@ -9,6 +9,7 @@ finest requested width, 2^-200, lies below the resolution of 60 digits.
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,11 @@ def test_evaluator_encloses_the_image_of_the_ball(num, den, x, y, s, k, real):
         dre, dim = re - Fraction(out.x, out.den), im - Fraction(out.y, out.den)
         assert dre * dre + dim * dim <= Fraction(out.rad, out.den) ** 2
 
+
+
+def test_evaluator_refuses_a_ball_off_the_dyadic_grid():
+    with pytest.raises(ValueError, match="power of two"):
+        eval_poly_box([0, 1], 1, Ball(1, 0, 1, 3, True))
 
 _REFERENCE = {}
 

@@ -118,15 +118,27 @@ def test_missing_operand_exit_code(capsys, argv, operand):
     assert "Traceback" not in err
 
 
-def test_elem_eval_power_below_the_exponent_bound(capsys):
+def test_elem_eval_power_below_the_size_bound(capsys):
     code, doc, _ = run(capsys, "elem", "eval", "2^100", "--quadratic", "2")
     assert code == 0
     assert doc["element"]["coords"] == [str(2**100), "0"]
 
 
+def test_huge_exponent_of_a_root_of_unity_evaluates(capsys):
+    # the bound is on the size of the products, not on the exponent
+    code, doc, _ = run(capsys, "elem", "eval", "a^1000000000000", "--cyclotomic", "8")
+    assert code == 0
+    assert doc["element"]["coords"] == ["1", "0", "0", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["elem", "eval", "2^1000000000", "--quadratic", "2"],
     ["alg", "trace", "2^1000000000*z^{a}", "--quadratic", "2"],
+    ["elem", "eval", "(2^10000)^10000", "--quadratic", "2"],
+    ["elem", "eval", "((2^10000)^10000)^10000", "--quadratic", "2"],
+    ["elem", "eval", "((1+a)^-10000)^10000", "--cyclotomic", "5"],
+    ["alg", "trace", "(2^10000)^10000*z^{a}", "--quadratic", "2"],
+    ["alg", "trace", "z^{(2^10000)^10000}", "--quadratic", "2"],
 ])
 def test_huge_exponent_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
@@ -135,7 +147,7 @@ def test_huge_exponent_exits_2_at_once(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith("error: exponent above")
+    assert err.startswith("error: power above")
     assert "Traceback" not in err
     assert elapsed < 1.0
 
