@@ -246,9 +246,8 @@ def eval_element(node, field: NumberField) -> FieldElement:
         return -eval_element(node.arg, field)
     if isinstance(node, Pow):
         base = eval_element(node.base, field)
-        if node.exponent < 0:
-            return _bounded_pow(base.inverse(), -node.exponent, field.one, _element_bits)
-        return _bounded_pow(base, node.exponent, field.one, _element_bits)
+        base = base.inverse() if node.exponent < 0 else base
+        return _bounded_pow(base, abs(node.exponent), field.one, _element_bits)
     if isinstance(node, BinOp):
         a = eval_element(node.left, field)
         b = eval_element(node.right, field)
@@ -301,9 +300,8 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         if isinstance(v, AlgebraElement):
             raise ParseError("powers of algebra elements are ambiguous")
         one = GaussRat(Fraction(1))
-        if node.exponent < 0:
-            return _bounded_pow(one / v, -node.exponent, one, _scalar_bits)
-        return _bounded_pow(v, node.exponent, one, _scalar_bits)
+        v = one / v if node.exponent < 0 else v
+        return _bounded_pow(v, abs(node.exponent), one, _scalar_bits)
     if isinstance(node, BinOp):
         a = eval_algebra(node.left, field, mode)
         b = eval_algebra(node.right, field, mode)
@@ -338,19 +336,13 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
 def _bounded_pow(v, n: int, one, bits):
     """v^n for n >= 0 by repeated squaring; raises ParseError before any
     product whose factors hold more than MAX_POWER_BITS bits together."""
-    def check(size):
-        if size > MAX_POWER_BITS:
-            raise ParseError(f"power above {MAX_POWER_BITS} bits")
-
     out = one
     while n:
+        if bits(out) + 2 * bits(v) > MAX_POWER_BITS:
+            raise ParseError(f"power above {MAX_POWER_BITS} bits")
         if n & 1:
-            check(bits(out) + bits(v))
             out = out * v
-        n >>= 1
-        if n:
-            check(2 * bits(v))
-            v = v * v
+        v, n = v * v, n >> 1
     return out
 
 
