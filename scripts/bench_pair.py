@@ -19,6 +19,7 @@ metric the number of pairs in which the change is strictly better.
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     base = _git("rev-parse", args.base)
     runs = {"parent": [], "change": []}
+    # a stopped run still removes its worktree: SIGTERM unwinds like Ctrl-C
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = tempfile.mkdtemp(prefix="bench-pair-", dir=args.workdir)
     parent_tree = os.path.join(tmp, "parent")
     _git("worktree", "add", "--detach", parent_tree, base)
