@@ -107,12 +107,12 @@ class AlgebraElement:
     def cauchy(self, other: "AlgebraElement") -> "AlgebraElement":
         """Cauchy product: additive convolution of indices."""
         self._check(other)
+        zero = coeffs.zero(self.mode)
         out: dict = {}
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
                 idx = i1 + i2
-                prod = c1 * c2
-                out[idx] = out.get(idx, coeffs.zero(self.mode)) + prod
+                out[idx] = out.get(idx, zero) + c1 * c2
         return AlgebraElement(self.field, self.mode, out)
 
     def dirichlet(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -121,9 +121,9 @@ class AlgebraElement:
         indices of the partner."""
         self._check(other)
         zero_idx = self.field.zero
+        zero = coeffs.zero(self.mode)
         out: dict = {}
-        sum_a = coeffs.zero(self.mode)
-        sum_b = coeffs.zero(self.mode)
+        sum_a = sum_b = zero
         for i1, c1 in self.terms.items():
             if i1.is_zero:
                 continue
@@ -132,7 +132,7 @@ class AlgebraElement:
                 if i2.is_zero:
                     continue
                 idx = i1 * i2
-                out[idx] = out.get(idx, coeffs.zero(self.mode)) + c1 * c2
+                out[idx] = out.get(idx, zero) + c1 * c2
         for i2, c2 in other.terms.items():
             if not i2.is_zero:
                 sum_b = sum_b + c2
@@ -140,7 +140,7 @@ class AlgebraElement:
         b0 = other.constant
         d0 = a0 * sum_b + b0 * sum_a + a0 * b0
         if not coeffs.is_zero(d0):
-            out[zero_idx] = out.get(zero_idx, coeffs.zero(self.mode)) + d0
+            out[zero_idx] = out.get(zero_idx, zero) + d0
         return AlgebraElement(self.field, self.mode, out)
 
     # -- trace, ideal, projectivization ------------------------------

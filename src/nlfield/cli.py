@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import dirichlet as dmod
 from . import hardy, session as smod, signs
 from .algebra import AlgebraElement, monomial
-from .coeffs import APPROX, EXACT
+from .coeffs import APPROX, EXACT, GaussRat
 from .errors import NlfieldError
 from .galois import (
     FlowParameter,
@@ -38,7 +38,7 @@ from .numberfield import (
 )
 from .parser import parse_algebra, parse_element
 from .polys import Poly
-from .session import Session, rat_to_str
+from .session import Session, rat_from_str, rat_to_str
 from .suites import run_suite
 
 
@@ -110,13 +110,11 @@ def _read_series(path: str, N: int, mode: str = EXACT) -> dmod.IntegerSeries:
             if not row or row[0].strip() == "n":
                 continue
             n = int(row[0])
-            re = Fraction(row[1]) if mode == EXACT else float(row[1])
-            im = Fraction(row[2]) if len(row) > 2 and row[2] else 0
+            re = rat_from_str(row[1]) if mode == EXACT else float(row[1])
+            im = rat_from_str(row[2]) if len(row) > 2 and row[2] else 0
             if not 1 <= n <= N:
                 raise SystemExit2(f"coefficient index {n} outside 1..{N}")
-            from .coeffs import GaussRat
-
-            vals[n - 1] = GaussRat(re, Fraction(im)) if mode == EXACT else complex(re, im)
+            vals[n - 1] = GaussRat(re, im) if mode == EXACT else complex(re, im)
     return dmod.IntegerSeries(N, vals, mode)
 
 

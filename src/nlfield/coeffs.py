@@ -2,81 +2,125 @@
 
 Two modes exist and never mix inside one element:
 
-  exact  -- Gaussian rationals a + b*i with Fraction parts; never rounds.
+  exact  -- Gaussian rationals (x + y*i)/den over integers; never rounds.
   approx -- python complex at double precision, for flows and Hardy numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 EXACT = "exact"
 APPROX = "approx"
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational a + b*i."""
+    """Gaussian rational (x + y*i)/den: integers x, y over one positive
+    denominator den, with gcd(x, y, den) = 1.  The form is canonical, so
+    equality compares the integers.  `re` and `im` are the rational parts.
+    Values are immutable: x, y and den are never reassigned."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("x", "y", "den")
 
-    @staticmethod
-    def of(v) -> "GaussRat":
-        if isinstance(v, GaussRat):
-            return v
-        if isinstance(v, complex):
-            raise TypeError("complex floats are approx-mode values")
-        return GaussRat(Fraction(v))
+    def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            self.x, self.y, self.den = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        den = p * q // gcd(p, q)
+        # lcm of reduced denominators: gcd(x, y, den) = 1 already
+        self.x = re.numerator * (den // p)
+        self.y = im.numerator * (den // q)
+        self.den = den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x) if self.den == 1 else Fraction(self.x, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y) if self.den == 1 else Fraction(self.y, self.den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.den))
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d, e = self.den, other.den
+        if d == e:
+            return _gauss(self.x + other.x, self.y + other.y, d)
+        return _gauss(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self.x, -self.y, self.den)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.x, self.y, other.x, other.y
+        return _gauss(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
-        n = other.re * other.re + other.im * other.im
+        a, b, c, d = self.x, self.y, other.x, other.y
+        n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        e = other.den
+        return _gauss((a * c + b * d) * e, (b * c - a * d) * e, self.den * n)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gauss(self.x, -self.y, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.x == 0 and self.y == 0
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.den * self.den)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.x / self.den, self.y / self.den)
 
     def __repr__(self):
-        if self.im == 0:
+        if self.y == 0:
             return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        return f"({self.re}{'+' if self.y >= 0 else ''}{self.im}i)"
+
+
+_new = object.__new__
+
+
+def _gauss(x: int, y: int, den: int) -> GaussRat:
+    """(x + y*i)/den for den > 0, reduced by the gcd unless den is 1."""
+    if den != 1:
+        g = gcd(x, y, den)
+        if g != 1:
+            x, y, den = x // g, y // g, den // g
+    q = _new(GaussRat)
+    q.x, q.y, q.den = x, y, den
+    return q
+
+
+_ZERO = GaussRat()
+_ONE = GaussRat(1)
 
 
 def coerce(value, mode: str):
     """Bring a raw value into the arithmetic of the given mode."""
     if mode == EXACT:
-        return GaussRat.of(value)
+        if isinstance(value, GaussRat):
+            return value
+        if isinstance(value, complex):
+            raise TypeError("complex floats are approx-mode values")
+        return GaussRat(value)
     if mode == APPROX:
         if isinstance(value, GaussRat):
             return value.to_complex()
@@ -91,11 +135,11 @@ def is_zero(value) -> bool:
 
 
 def zero(mode: str):
-    return GaussRat() if mode == EXACT else 0j
+    return _ZERO if mode == EXACT else 0j
 
 
 def one(mode: str):
-    return GaussRat(Fraction(1)) if mode == EXACT else 1 + 0j
+    return _ONE if mode == EXACT else 1 + 0j
 
 
 def to_complex(value) -> complex:

@@ -52,7 +52,7 @@ def divisors_of(n: int, bound: int) -> list[int]:
 class IntegerSeries:
     """Coefficients a_1..a_N of a Dirichlet series truncated at N."""
 
-    __slots__ = ("N", "mode", "a")
+    __slots__ = ("N", "mode", "a", "_terms")
 
     def __init__(self, N: int, values, mode: str = EXACT):
         if N < 1:
@@ -63,6 +63,7 @@ class IntegerSeries:
         if len(vals) != N:
             raise ValueError(f"need {N} coefficients, got {len(vals)}")
         self.a = [coeffs.coerce(v, mode) for v in vals]
+        self._terms = None
 
     def __getitem__(self, n: int):
         if not 1 <= n <= self.N:
@@ -92,7 +93,15 @@ class IntegerSeries:
         return IntegerSeries(N, [1] * N, mode)
 
     def support(self) -> list[int]:
-        return [n for n in range(1, self.N + 1) if not coeffs.is_zero(self[n])]
+        return [n for n, c in enumerate(self.a, 1) if not coeffs.is_zero(c)]
+
+    def log_terms(self) -> list[tuple]:
+        """(log n, complex a_n) for every nonzero a_n, built on first use;
+        series are values, so `a` is never changed."""
+        if self._terms is None:
+            self._terms = [(math.log(n), coeffs.to_complex(c))
+                           for n, c in enumerate(self.a, 1) if not coeffs.is_zero(c)]
+        return self._terms
 
 
 def from_algebra(f: AlgebraElement, N: int) -> IntegerSeries:
@@ -164,6 +173,6 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
 def mellin_eval(f: IntegerSeries, y: float) -> complex:
     """D_f(y) = sum a_n n^(-2 pi i y), a finite unitary-character sum."""
     total = 0j
-    for n in f.support():
-        total += coeffs.to_complex(f[n]) * cmath.exp(-2j * math.pi * y * math.log(n))
+    for logn, c in f.log_terms():
+        total += c * cmath.exp(-2j * math.pi * y * logn)
     return total

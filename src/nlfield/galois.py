@@ -212,8 +212,7 @@ def _random_exact_element(field: NumberField, rng, nterms=4, height=5):
             [Fraction(rng.randint(-height, height)) for _ in range(field.degree)]
         )
         terms[idx] = coeffs.GaussRat(
-            Fraction(rng.randint(-height, height)),
-            Fraction(rng.randint(-height, height)),
+            rng.randint(-height, height), rng.randint(-height, height)
         )
     return AlgebraElement(field, coeffs.EXACT, terms)
 

@@ -286,7 +286,7 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
     if isinstance(node, Num):
         return GaussRat(node.value)
     if isinstance(node, Imag):
-        return GaussRat(Fraction(0), Fraction(1))
+        return GaussRat(0, 1)
     if isinstance(node, Gen):
         raise ParseError("the generator is only meaningful inside z^{...}")
     if isinstance(node, Mono):
@@ -299,7 +299,7 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         v = eval_algebra(node.base, field, mode)
         if isinstance(v, AlgebraElement):
             raise ParseError("powers of algebra elements are ambiguous")
-        one = GaussRat(Fraction(1))
+        one = GaussRat(1)
         v = one / v if node.exponent < 0 else v
         return _bounded_pow(v, abs(node.exponent), one, _scalar_bits)
     if isinstance(node, BinOp):
@@ -328,7 +328,7 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         if b.is_zero:
             raise ParseError("division by zero")
         if a_alg:
-            return a.scale(GaussRat(Fraction(1)) / b)
+            return a.scale(GaussRat(1) / b)
         return a / b
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -351,8 +351,7 @@ def _element_bits(a: FieldElement) -> int:
 
 
 def _scalar_bits(v: GaussRat) -> int:
-    return max(abs(q.numerator).bit_length() + q.denominator.bit_length()
-               for q in (v.re, v.im))
+    return max(abs(v.x).bit_length(), abs(v.y).bit_length()) + v.den.bit_length()
 
 
 def parse_algebra(src: str, field: NumberField, mode: str = EXACT) -> AlgebraElement:

@@ -11,6 +11,8 @@ keys are emitted sorted, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import AlgebraElement
@@ -23,15 +25,32 @@ from .polys import Poly
 _KINDS = ("fields", "elements", "algebra", "groups")
 
 
+# Past the interpreter's limit on int <-> str digits (4300 by default),
+# rationals go through Decimal, which converts integers exactly at any length.
+
+
 def rat_to_str(q) -> str:
+    """q as "p" or "p/q" in lowest terms."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q)
+    except ValueError:
+        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+        return num if den == "1" else f"{num}/{den}"
+
+
+_LONG_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:
+        m = _LONG_RAT.match(s)
+        if m is None:
+            raise
+        num, den = m.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def field_to_json(field: NumberField) -> dict:

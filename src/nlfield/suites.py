@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 
 from . import coeffs, dirichlet, hardy, signs
 from .algebra import AlgebraElement, monomial
@@ -78,7 +77,7 @@ def _suite_algebra(rng, samples):
         f = _rand_alg(K, rng)
         try:
             p = f.projectivize()
-            ok &= p == f.scale(GaussRat(Fraction(3))).projectivize()
+            ok &= p == f.scale(GaussRat(3)).projectivize()
         except Exception:
             continue
     out.append(_check("projectivization scale-invariant", ok))

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,35 @@ def test_elem_eval_power_below_the_size_bound(capsys):
     code, doc, _ = run(capsys, "elem", "eval", "2^100", "--quadratic", "2")
     assert code == 0
     assert doc["element"]["coords"] == [str(2**100), "0"]
+
+
+def _decimal_digits(n: int) -> str:
+    """Decimal digits of n >= 0 in chunks of 1000, each below the
+    interpreter's limit on int-to-str conversion."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10 ** 1000)
+        chunks.append(r)
+    head, *rest = reversed(chunks or [0])
+    return str(head) + "".join(str(c).zfill(1000) for c in rest)
+
+
+def test_elem_eval_beyond_the_str_digit_limit(tmp_path, capsys):
+    # 2^20000 has 6021 digits, past the 4300 that str(int) allows
+    code, doc, err = run(capsys, "elem", "eval", "2^20000", "--quadratic", "2")
+    assert code == 0, err
+    assert doc["element"]["coords"] == [_decimal_digits(2 ** 20000), "0"]
+
+    sess = str(tmp_path / "s.json")
+    run(capsys, "--session", sess, "field", "new", "--name", "K", "--quadratic", "2")
+    code, _, _ = run(capsys, "--session", sess, "elem", "eval", "2^20000/3^9000",
+                     "--field", "K", "--name", "big")
+    assert code == 0
+    from nlfield.session import Session
+
+    loaded = Session.load(sess)
+    assert loaded.elements["big"][1].coords == (Fraction(2 ** 20000, 3 ** 9000), 0)
+    assert Session.loads(loaded.dumps()).dumps() == loaded.dumps()
 
 
 def test_huge_exponent_of_a_root_of_unity_evaluates(capsys):
