@@ -14,11 +14,12 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import dirichlet as dmod
 from . import hardy, session as smod, signs
 from .algebra import AlgebraElement, monomial
-from .coeffs import APPROX, EXACT, GaussRat
+from .coeffs import APPROX, EXACT, GaussRat, to_complex
 from .errors import NlfieldError
 from .galois import (
     FlowParameter,
@@ -30,9 +31,11 @@ from .galois import (
     verify_nonlinear_automorphism,
 )
 from .numberfield import (
+    absolute_trace,
     cyclotomic_field,
     define_field,
     is_in_inverse_different,
+    minimal_polynomial_of,
     poly_at,
     quadratic_field,
 )
@@ -92,12 +95,8 @@ class SystemExit2(Exception):
     """Configuration error mapped to exit code 2."""
 
 
-def _field_label(ctx, field, name):
+def _field_label(field, name):
     return name if name else "/".join(rat_to_str(c) for c in field.minpoly.coeffs)
-
-
-def _alg_json(ctx, f, field_name):
-    return smod.algebra_to_json(f, field_name or "-")
 
 
 # -- csv io ----------------------------------------------------------
@@ -159,7 +158,7 @@ def cmd_field_list(ctx, args):
 def cmd_elem(ctx, args):
     field, fname = _resolve_field(ctx, args)
     e = parse_element(args.expr, field)
-    label = _field_label(ctx, field, fname)
+    label = _field_label(field, fname)
     if args.action == "eval":
         doc = smod.element_to_json(e, label)
         if args.name:
@@ -168,14 +167,10 @@ def cmd_elem(ctx, args):
         ctx.emit({"command": "elem eval", "element": doc},
                  f"coords {doc['coords']}")
     elif args.action == "trace":
-        from .numberfield import absolute_trace
-
         t = absolute_trace(e)
         ctx.emit({"command": "elem trace", "trace": rat_to_str(t)},
                  f"Tr = {rat_to_str(t)}")
     elif args.action == "minpoly":
-        from .numberfield import minimal_polynomial_of
-
         m = minimal_polynomial_of(e)
         cs = [rat_to_str(c) for c in m.coeffs]
         ctx.emit({"command": "elem minpoly", "minpoly": cs}, f"minpoly {cs}")
@@ -193,7 +188,7 @@ def cmd_elem(ctx, args):
 def cmd_alg(ctx, args):
     field, fname = _resolve_field(ctx, args)
     mode = APPROX if args.approx else EXACT
-    label = _field_label(ctx, field, fname)
+    label = _field_label(field, fname)
     f = parse_algebra(args.expr, field, mode)
     if args.action in ("cauchy", "dirichlet"):
         g = parse_algebra(args.expr2, field, mode)
@@ -201,24 +196,20 @@ def cmd_alg(ctx, args):
         if args.name:
             ctx.session.add_algebra(args.name, out)
             ctx.persist()
-        doc = _alg_json(ctx, out, label)
+        doc = smod.algebra_to_json(out, label)
         ctx.emit({"command": f"alg {args.action}", "result": doc},
                  f"{len(out.terms)} terms")
     elif args.action == "trace":
-        from . import coeffs as cf
-
-        t = cf.to_complex(f.trace())
+        t = to_complex(f.trace())
         ctx.emit({"command": "alg trace", "re": t.real, "im": t.imag},
                  f"T = {t}")
     elif args.action == "grade":
         g = signs.grade(f)
         comps = {
-            "|".join(v.serialize()): _alg_json(ctx, part, label)
+            "|".join(v.serialize()): smod.algebra_to_json(part, label)
             for v, part in g.components.items()
         }
-        from . import coeffs as cf
-
-        c0 = cf.to_complex(g.constant)
+        c0 = to_complex(g.constant)
         ctx.emit(
             {"command": "alg grade", "constant": {"re": c0.real, "im": c0.imag},
              "components": comps},
@@ -226,7 +217,7 @@ def cmd_alg(ctx, args):
         )
     elif args.action == "proj":
         p = f.projectivize()
-        doc = _alg_json(ctx, p.representative, label)
+        doc = smod.algebra_to_json(p.representative, label)
         ctx.emit({"command": "alg proj", "representative": doc},
                  "trace-one representative computed")
     return 0
@@ -239,7 +230,7 @@ def cmd_galois(ctx, args):
                  f"levels 2..{args.kmax}: " + ("pass" if rep["passed"] else "FAIL"))
         return 0 if rep["passed"] else 1
     field, fname = _resolve_field(ctx, args)
-    label = _field_label(ctx, field, fname)
+    label = _field_label(field, fname)
     if args.action == "group":
         G = group_from_family(field, args.family)
         if args.name:
@@ -271,7 +262,7 @@ def cmd_galois(ctx, args):
         r = FlowParameter.of(field, [complex(v) for v in args.r.split(",")])
         f = parse_algebra(args.expr, field, APPROX)
         out = flow_phi(r, f) if args.kind == "phi" else flow_psi(r, f)
-        doc = _alg_json(ctx, out, label)
+        doc = smod.algebra_to_json(out, label)
         ctx.emit({"command": "galois flow", "kind": args.kind, "result": doc},
                  f"{len(out.terms)} terms after {args.kind} flow")
         return 0
@@ -279,31 +270,8 @@ def cmd_galois(ctx, args):
 
 
 def cmd_dirichlet(ctx, args):
-    if args.action == "conv":
-        f = _read_series(args.infile, args.N)
-        g = _read_series(args.in2, args.N)
-        out = dmod.dconv(f, g)
-        if args.out:
-            _write_series(args.out, out)
-        ctx.emit(
-            {"command": "dirichlet conv", "N": args.N,
-             "support": len(out.support()), "out": args.out},
-            f"convolution support {len(out.support())}",
-        )
-        return 0
-    if args.action == "invert":
-        f = _read_series(args.infile, args.N)
-        out = dmod.dinvert(f)
-        if args.out:
-            _write_series(args.out, out)
-        ctx.emit(
-            {"command": "dirichlet invert", "N": args.N,
-             "support": len(out.support()), "out": args.out},
-            f"inverse support {len(out.support())}",
-        )
-        return 0
+    f = _read_series(args.infile, args.N)
     if args.action == "mellin":
-        f = _read_series(args.infile, args.N)
         vals = []
         for y in (float(v) for v in args.y.split(",")):
             z = dmod.mellin_eval(f, y)
@@ -311,7 +279,18 @@ def cmd_dirichlet(ctx, args):
         ctx.emit({"command": "dirichlet mellin", "values": vals},
                  "\n".join(f"D({v['y']}) = {complex(v['re'], v['im'])}" for v in vals))
         return 0
-    raise SystemExit2(f"unknown dirichlet action {args.action!r}")
+    if args.action == "conv":
+        out, what = dmod.dconv(f, _read_series(args.in2, args.N)), "convolution"
+    else:
+        out, what = dmod.dinvert(f), "inverse"
+    if args.out:
+        _write_series(args.out, out)
+    ctx.emit(
+        {"command": f"dirichlet {args.action}", "N": args.N,
+         "support": len(out.support()), "out": args.out},
+        f"{what} support {len(out.support())}",
+    )
+    return 0
 
 
 def cmd_hardy(ctx, args):
@@ -393,20 +372,15 @@ def cmd_verify(ctx, args):
 
 
 def cmd_session(ctx, args):
+    path = args.path or ctx.session_path
+    if not path:
+        raise SystemExit2("no path: give one or use --session")
     if args.action == "save":
-        path = args.path or ctx.session_path
-        if not path:
-            raise SystemExit2("no path: give one or use --session")
         ctx.session.save(path)
         ctx.emit({"command": "session save", "path": path},
                  f"session written to {path}")
         return 0
-    # load
-    path = args.path or ctx.session_path
-    if not path:
-        raise SystemExit2("no path: give one or use --session")
-    sess = Session.load(path)
-    doc = sess.to_json()
+    doc = Session.load(path).to_json()
     ctx.emit(
         {"command": "session load", "path": path,
          "counts": {k: len(v) for k, v in doc.items()}},
@@ -418,7 +392,9 @@ def cmd_session(ctx, args):
 # -- argument parsing ------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args never changes it."""
     ap = argparse.ArgumentParser(
         prog="nlfield",
         description="exact number-field algebra with two products, sign "

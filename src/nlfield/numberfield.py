@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, ne
 
 import mpmath
 import sympy
@@ -205,8 +205,7 @@ def isolate_roots(p: Poly) -> list[Place]:
     approximations, centred on the 2^-prec grid, are pairwise disjoint.  An
     approximation whose disk meets R is moved onto R first, so that a real
     root gets a disk symmetric about R."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    coeffs = tuple(int(c * den) for c in p.coeffs)
+    coeffs = _over_common_denominator(p.coeffs)[0]
     n = p.degree
     prec = 53
     while prec <= _bits(DEFAULT_WIDTH_CAP):
@@ -254,12 +253,35 @@ def isolate_roots(p: Poly) -> list[Place]:
     return places[:r] + upper + lower
 
 
+def _real_root_count(coeffs) -> int:
+    """The number of real roots of a squarefree integer polynomial (lowest
+    first) by Sturm's theorem: the sign changes of its Sturm sequence at -oo
+    less those at +oo.  The members are primitive pseudo-remainders, scaled
+    and divided by positive factors only, so they keep the signs of the true
+    Sturm sequence."""
+    a, b = list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]
+    seq = [a]
+    while b:
+        seq.append(b)
+        lb, sb = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(a) >= len(b):
+            c, k = sb * a[-1], len(a) - len(b)
+            a = [lb * u for u in a[:k]] + [lb * u - c * v for u, v in zip(a[k:], b)]
+            while a and not a[-1]:
+                a.pop()
+        g = gcd(*a)
+        a, b = b, [-u // g for u in a]
+    pos = [p[-1] > 0 for p in seq]  # signs at +oo; odd degrees flip them at -oo
+    neg = [u == len(p) % 2 for u, p in zip(pos, seq)]
+    return sum(map(ne, neg, neg[1:])) - sum(map(ne, pos, pos[1:]))
+
+
 class NumberField:
     """Q[x]/(minpoly) together with its isolated archimedean places.
 
-    Root isolation is deferred until a place (or the signature) is first
-    requested: purely algebraic work — arithmetic, traces, minimal
-    polynomials — never pays for it."""
+    Root isolation is deferred until a place is first requested: purely
+    algebraic work — arithmetic, traces, minimal polynomials, and the
+    signature, an exact Sturm count — never pays for it."""
 
     def __init__(self, minpoly: Poly):
         self.minpoly = minpoly
@@ -280,14 +302,14 @@ class NumberField:
     def places(self) -> list[Place]:
         """Real places ascending, then one place per conjugate pair."""
         if self._places is None:
-            roots = isolate_roots(self.minpoly)
-            self._places = roots[: (self.degree + sum(p.is_real for p in roots)) // 2]
+            self._places = isolate_roots(self.minpoly)[: sum(self.signature)]
         return self._places
 
-    @property
+    @cached_property
     def signature(self) -> tuple[int, int]:
-        r = sum(p.is_real for p in self.places)
-        return r, len(self.places) - r
+        """(r, s): the numbers of real places and of complex pairs."""
+        r = _real_root_count(_over_common_denominator(self.minpoly.coeffs)[0])
+        return r, (self.degree - r) // 2
 
     # -- constructors ------------------------------------------------
 

@@ -39,18 +39,20 @@ def rat_to_str(q) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-_LONG_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
+# "p" and "p/q", the forms rat_to_str writes, skip Fraction's parser
+_PLAIN_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
 
 
-def rat_from_str(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except ValueError:
-        m = _LONG_RAT.match(s)
-        if m is None:
-            raise
-        num, den = m.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+def rat_from_str(s: str) -> int | Fraction:
+    """A rational from any string that Fraction(str) reads, as an int when
+    its denominator is 1."""
+    m = _PLAIN_RAT.match(s)
+    if m is None:
+        q = Fraction(s)
+    else:
+        num, den = (int(Decimal(g or 1)) for g in m.groups())
+        q = num if den == 1 else Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def field_to_json(field: NumberField) -> dict:
@@ -218,15 +220,12 @@ class Session:
                 raise SessionError(f"unknown section {kind!r}")
         for name in sorted(doc.get("fields", {})):
             sess.add_field(name, field_from_json(doc["fields"][name]))
-        for name in sorted(doc.get("elements", {})):
-            d = doc["elements"][name]
-            sess.add_element(name, element_from_json(d, sess.get_field(d["field"])))
-        for name in sorted(doc.get("algebra", {})):
-            d = doc["algebra"][name]
-            sess.add_algebra(name, algebra_from_json(d, sess.get_field(d["field"])))
-        for name in sorted(doc.get("groups", {})):
-            d = doc["groups"][name]
-            sess.add_group(name, group_from_json(d, sess.get_field(d["field"])))
+        for kind, from_doc, add in (("elements", element_from_json, sess.add_element),
+                                    ("algebra", algebra_from_json, sess.add_algebra),
+                                    ("groups", group_from_json, sess.add_group)):
+            for name in sorted(doc.get(kind, {})):
+                d = doc[kind][name]
+                add(name, from_doc(d, sess.get_field(d["field"])))
         return sess
 
     @classmethod

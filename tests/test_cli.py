@@ -76,6 +76,25 @@ def test_dirichlet_csv_pipeline(tmp_path, capsys):
     assert 4 not in rows  # mu(4) = 0 is not written
 
 
+def test_dirichlet_csv_reads_any_rational(tmp_path, capsys):
+    big = Fraction(10 ** 4400 + 1, 3)  # 4,401 digits over 3: past the 4,300 of int(str)
+    (tmp_path / "f.csv").write_text(
+        f"n,re,im\n1,0.5, 3 \n2,1e3,-1/4\n3,{_decimal_digits(big.numerator)}/3,0\n")
+    (tmp_path / "one.csv").write_text("n,re,im\n1,1,0\n")
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, "dirichlet", "conv", "--in", str(tmp_path / "f.csv"),
+                       "--in2", str(tmp_path / "one.csv"), "--N", "3", "--out", str(out))
+    assert code == 0, err
+    rows = {r["n"]: (r["re"], r["im"]) for r in csv.DictReader(open(out))}
+    assert rows["1"] == ("1/2", "3") and rows["2"] == ("1000", "-1/4")
+    assert rows["3"] == (f"{_decimal_digits(big.numerator)}/3", "0")
+
+    (tmp_path / "zero.csv").write_text("n,re,im\n1,1/0,0\n")
+    code, doc, err = run(capsys, "dirichlet", "invert", "--in", str(tmp_path / "zero.csv"),
+                         "--N", "3")
+    assert code == 2 and doc is None and "Traceback" not in err
+
+
 def test_hardy_eval_ladder(tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     code, doc, _ = run(capsys, "hardy", "eval", "z^{1}", "--minpoly", "0,1",

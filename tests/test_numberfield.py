@@ -4,7 +4,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlfield.errors import NotMonicError, ReduciblePolynomialError
@@ -17,6 +18,7 @@ from nlfield.numberfield import (
     embed_value,
     is_in_inverse_different,
     is_in_power_order,
+    isolate_roots,
     minimal_polynomial_of,
     quadratic_field,
     rationals,
@@ -199,3 +201,56 @@ def test_multiply_matches_polynomial_remainder(kab):
 def test_trace_is_the_trace_of_multiplication(ka):
     K, a = ka
     assert absolute_trace(a) == sum((a * b).coords[j] for j, b in enumerate(K.power_basis()))
+
+
+def _isolated_signature(p: Poly) -> tuple[int, int]:
+    places = isolate_roots(p)
+    r = sum(q.is_real for q in places)
+    return r, (len(places) - r) // 2
+
+
+@st.composite
+def irreducible_monic(draw):
+    n = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    assume(sympy.Poly(coeffs[::-1], sympy.Symbol("x")).is_irreducible)
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_monic())
+@example([2, 0, -4, 0, 1])  # four real roots, +-sqrt(2 +- sqrt 2)
+@example([1, -4, -10, 10, 15, -6, -7, 1, 1])  # totally real: Q(zeta17 + 1/zeta17)
+def test_signature_is_the_isolated_real_root_count(coeffs):
+    p = Poly(coeffs)
+    K = define_field(p)
+    assert K.signature == _isolated_signature(p)
+    assert K._places is None  # the count isolated no roots
+
+
+# cyclotomic fields, monic polynomials with non-integer rational coefficients,
+# and the fields of tests/test_roots.py with places of equal real part
+SIGNATURE_FIELDS = [Poly([Fraction(-1, 2), 1]), Poly([Fraction(-1, 2), 0, 1]),
+                    Poly([Fraction(1, 5), Fraction(-1, 3), 0, 1]),
+                    Poly([Fraction(-1, 7), Fraction(5, 3), 0, Fraction(-9, 4), 0, 1]),
+                    Poly([100, 120, 84, 52, 24, 6, 1]), Poly([1, 0, 3, 0, 1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20])
+def test_cyclotomic_signature(n):
+    K = cyclotomic_field(n)
+    want = (1, 0) if n <= 2 else (0, K.degree // 2)
+    assert K.signature == want == _isolated_signature(K.minpoly)
+
+
+@pytest.mark.parametrize("p", SIGNATURE_FIELDS, ids=str)
+def test_signature_of_rational_and_tied_fields(p):
+    assert define_field(p).signature == _isolated_signature(p)
+
+
+def test_places_follow_the_signature():
+    K = define_field(Poly([2, 0, -4, 0, 1]))
+    assert K.signature == (4, 0)
+    assert [q.is_real for q in K.places] == [True] * 4
+    K = define_field(Poly([1, 0, 3, 0, 1]))
+    assert [q.is_real for q in K.places] == [False] * 2

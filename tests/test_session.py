@@ -4,14 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlfield.algebra import monomial
 from nlfield.coeffs import GaussRat
 from nlfield.errors import SessionError
 from nlfield.galois import group_from_family
-from nlfield.numberfield import cyclotomic_field, quadratic_field, rationals
+from nlfield.numberfield import cyclotomic_field, define_field, quadratic_field, rationals
 from nlfield.parser import parse_algebra
-from nlfield.session import Session
+from nlfield.polys import Poly
+from nlfield.session import Session, field_to_json, rat_from_str
 
 
 def make_session():
@@ -89,6 +92,18 @@ def test_inconsistent_signature_rejected():
         Session.from_json(doc)
 
 
+def test_load_save_and_list_isolate_no_roots():
+    # loading builds every field afresh, so none has places yet
+    s = Session.loads(make_session().dumps())
+    s.add_field("L", define_field(Poly([1, -3, 0, 1])))
+    assert s.to_json()["fields"]["L"]["signature"] == [3, 0]
+    s2 = Session.loads(s.dumps())
+    for sess in (s, s2):
+        for name, field in sess.fields.items():
+            field_to_json(field)
+            assert field._places is None, name
+
+
 def test_malformed_text_rejected():
     with pytest.raises(SessionError):
         Session.loads("{not json")
@@ -107,3 +122,41 @@ def test_terms_serialized_sorted_by_index():
     doc = s.to_json()
     idx = [t["index"] for t in doc["algebra"]["f"]["terms"]]
     assert idx == [["2"], ["5"]]
+
+
+@pytest.mark.parametrize("text", [
+    "3", " 3 ", "-7", "+4", "4/2", "-6/4", " 1/3", "0.5", "-1.25", "1e3", "2.5E-2",
+    "1_000", ".5",
+])
+def test_rat_from_str_reads_what_fraction_reads(text):
+    q = rat_from_str(text)
+    assert q == Fraction(text)
+    assert type(q) is (int if q.denominator == 1 else Fraction)
+
+
+def test_rat_from_str_past_the_str_digit_limit():
+    # 5000 and 4400 digits, past the 4300 that int(str) allows
+    assert rat_from_str("1" * 5000) == (10 ** 5000 - 1) // 9
+    q = rat_from_str("-" + "6" * 4400 + "/" + "3" * 4400)
+    assert q == -2 and type(q) is int
+    q = rat_from_str("1" * 4400 + "/" + "3" * 4399)
+    assert q == Fraction(10 ** 4400 - 1, 3 * (10 ** 4399 - 1))
+
+
+@pytest.mark.parametrize("text", ["", "1/", "/2", "1/-2", "1 / 2", "a", "1/2/3", "--1"])
+def test_rat_from_str_refuses_what_fraction_refuses(text):
+    with pytest.raises(ValueError):
+        Fraction(text)
+    with pytest.raises(ValueError):
+        rat_from_str(text)
+
+
+def test_rat_from_str_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        rat_from_str("1/0")
+
+
+@given(st.fractions(), st.sampled_from(["", " ", "\t"]))
+@settings(max_examples=200, deadline=None)
+def test_rat_from_str_inverts_str(q, pad):
+    assert rat_from_str(pad + str(q) + pad) == q
