@@ -4,12 +4,13 @@
     python3 scripts/bench_pair.py --workload sign-certify --seeds 401-410 \\
         --out BENCH_6.json [--base HEAD^] [--workdir DIR]
 
-The parent revision (--base) is checked out into a temporary git worktree,
-which is removed afterwards; the change is the checkout holding this
-script.  Pair i runs `python3 perfbench/run.py --workload W --seed S_i
---seconds T`, T the `run_seconds` of BENCHMARK.json, once on each side,
-the parent first in even pairs and the change first in odd ones, so drift
-on the host falls on both sides alike.
+The parent revision (--base) is exported with `git archive` into a
+temporary directory, which is removed afterwards; the change is the
+checkout holding this script.  Pair i runs `python3 perfbench/run.py
+--workload W --seed S_i --seconds T`, T the `run_seconds` of
+BENCHMARK.json, once on each side, the parent first in even pairs and
+the change first in odd ones, so drift on the host falls on both sides
+alike.
 
 The output file holds every run's end-to-end metrics (those listed in
 BENCHMARK.json), each side's median and quartiles per metric, and per
@@ -19,6 +20,7 @@ metric the number of pairs in which the change is strictly better.
 import argparse
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -65,7 +67,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="first-last or a comma list")
     ap.add_argument("--out", required=True)
     ap.add_argument("--base", default="HEAD^", help="parent revision (default HEAD^)")
-    ap.add_argument("--workdir", help="where the temporary worktree goes")
+    ap.add_argument("--workdir", help="where the temporary parent export goes")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -74,12 +76,15 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     base = _git("rev-parse", args.base)
     runs = {"parent": [], "change": []}
-    # a stopped run still removes its worktree: SIGTERM unwinds like Ctrl-C
+    # a stopped run still removes its export: SIGTERM unwinds like Ctrl-C
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = tempfile.mkdtemp(prefix="bench-pair-", dir=args.workdir)
     parent_tree = os.path.join(tmp, "parent")
-    _git("worktree", "add", "--detach", parent_tree, base)
     try:
+        os.mkdir(parent_tree)
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         for i, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -89,8 +94,7 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} seed {seed}: wall_s parent {p:.3f} change {c:.3f}",
                   file=sys.stderr)
     finally:
-        _git("worktree", "remove", "--force", parent_tree)
-        os.rmdir(tmp)
+        shutil.rmtree(tmp)
 
     summary, wins = {}, {}
     for name, direction in better.items():

@@ -11,21 +11,22 @@ evaluates exactly at the dyadic centre of a place's ball and bounds the
 rest of the ball in integers, so no rational arithmetic runs on the way
 to a sign.
 
-Root enclosures come from one function, `isolate_roots`.  mpmath's
-polyroots supplies approximations; each is moved to a dyadic centre c
-and certified by the inclusion disk |w - c| <= n |p(c)/p'(c)| (Rump,
-"Verification methods", Acta Numerica 19, 2010), whose radius is
-evaluated exactly in integers and rounded up.  n pairwise disjoint disks
-hold one root each, so a disk centred on R holds a real root and a disk
-off R a non-real one.  A place refines its ball by Newton steps on a
-dyadic grid and keeps a monotone cache.
+Root enclosures come from one function, `root_enclosures`; `isolate_roots`
+puts them in place order.  mpmath's polyroots supplies approximations;
+each is moved to a dyadic centre c and certified by the inclusion disk
+|w - c| <= n |p(c)/p'(c)| (Rump, "Verification methods", Acta Numerica
+19, 2010), whose radius is evaluated exactly in integers and rounded up.
+n pairwise disjoint disks hold one root each, so a disk centred on R
+holds a real root and a disk off R a non-real one.  A place refines its
+ball by Newton steps on a dyadic grid and keeps a monotone cache.  Every
+decision made on balls walks one precision ladder, `refine`.
 """
 
 from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import gcd, isqrt, lcm
 from operator import mul, ne
 
@@ -41,12 +42,23 @@ from .errors import (
 from .intervals import Ball, eval_poly_box, horner
 from .polys import Poly, poly_xgcd
 
-# Precision ladder: start at 2^-53, square the precision each round,
-# give up (UndecidedNumericallyError) below the hard cap.
+# The precision ladder, which lives in `refine`: 2^-53, then the square of
+# the last width, until a width below the cap has failed.
 DEFAULT_START_WIDTH = Fraction(1, 2**53)
 DEFAULT_WIDTH_CAP = Fraction(1, 2**2000)
 
 MAX_DESK_DEGREE = 16
+
+
+def refine(decide, cap: Fraction = DEFAULT_WIDTH_CAP):
+    """The first value other than None of decide(w) at w = 2^-53, 2^-106,
+    ..., each width the square of the last."""
+    width = DEFAULT_START_WIDTH
+    while (out := decide(width)) is None:
+        if width < cap:
+            raise UndecidedNumericallyError(f"undecided at width 2^-{_bits(width)}")
+        width = width * width
+    return out
 
 
 def _to_sympoly(p: Poly):
@@ -162,58 +174,49 @@ class Place:
         return f"Place({self.kind}, {self._box.mid})"
 
 
-def _real_part_separation(coeffs) -> Fraction:
-    """A lower bound, squared, on the distance between distinct values
-    2 Re z over the roots z of p.  Each is a root of Res_x(p(x), p(y - x)),
-    and for the squarefree part q (integer, degree d) of that resultant
-    Mahler (1964) gives sep(q) > sqrt(3) d^-(d+2)/2 |q|_2^-(d-1)."""
-    p = sympy.Poly(list(reversed(coeffs)), _sym_x)
-    res = sympy.resultant(p.as_expr(), p.as_expr().subs(_sym_x, _sym_y - _sym_x), _sym_x)
-    q = [int(c) for c in sympy.Poly(res, _sym_y).sqf_part().all_coeffs()]
-    d = len(q) - 1
-    return Fraction(3, d ** (d + 2) * sum(c * c for c in q) ** (d - 1))
+def _real_part_resultant(p: Poly) -> list[int]:
+    """The squarefree part q of Res_x(p(x), p(y - x)) in Z[y], lowest first:
+    its roots are the sums of two roots of p, 2 Re z among them for each root z."""
+    e = _to_sympoly(p).as_expr()
+    q = sympy.Poly(sympy.resultant(e, e.subs(_sym_x, _sym_y - _sym_x), _sym_x), _sym_y)
+    return [int(c) for c in reversed(q.sqf_part().clear_denoms(convert=True)[1].all_coeffs())]
 
 
-def _compare_real_parts(u: Place, v: Place, separation) -> int:
-    """-1, 0 or 1 as Re u <, =, > Re v.  Equality is proved once the hull of
-    the two enclosures of 2 Re is narrower than the bound `separation()`.
-    Balls of width w with 16 w^2 < separation() always decide, so that bound,
-    not DEFAULT_WIDTH_CAP, ends the loop."""
-    width = DEFAULT_START_WIDTH
-    while True:
-        a, b = u.box(width), v.box(width)
-        # the real parts as integer intervals over the denominator a.den b.den
-        a_lo, a_hi = (a.x - a.rad) * b.den, (a.x + a.rad) * b.den
-        b_lo, b_hi = (b.x - b.rad) * a.den, (b.x + b.rad) * a.den
-        if a_hi < b_lo or b_hi < a_lo:
-            return -1 if a_hi < b_lo else 1
-        hull, sep = 2 * (max(a_hi, b_hi) - min(a_lo, b_lo)), separation()
-        if hull * hull * sep.denominator < sep.numerator * (a.den * b.den) ** 2:
-            return 0
-        if 16 * width * width < sep:
-            raise UndecidedNumericallyError("real parts undecided below the separation bound")
-        # the first width that must decide: 2^-j with 16 * 4^-j < separation()
-        width = max(width * width, Fraction(1, 1 << (_bits(sep / 16) + 3) // 2))
+def _compare_real_parts(u: Place, v: Place, sturm, width: Fraction) -> int | None:
+    """-1, 0 or 1 as Re u <, =, > Re v, or None if balls of this width do
+    not decide.  Unequal real parts show as disjoint enclosures; equal ones
+    are proved by the closed hull of the two enclosures of 2 Re holding one
+    root of q, the `_real_part_resultant`, whose Sturm sequence is sturm()."""
+    a, b = u.box(width), v.box(width)
+    # the real parts as integer intervals over the denominator a.den b.den
+    a_lo, a_hi = (a.x - a.rad) * b.den, (a.x + a.rad) * b.den
+    b_lo, b_hi = (b.x - b.rad) * a.den, (b.x + b.rad) * a.den
+    if a_hi < b_lo or b_hi < a_lo:
+        return -1 if a_hi < b_lo else 1
+    # 2 Re lies in [lo, hi] / 2^k, as a.den b.den = 2^(k + 1)
+    k = (a.den * b.den).bit_length() - 2
+    return 0 if _roots_between(sturm(), min(a_lo, b_lo), max(a_hi, b_hi), k) == 1 else None
 
 
-def isolate_roots(p: Poly) -> list[Place]:
+def root_enclosures(p: Poly) -> list[Place]:
     """Every root of the squarefree polynomial p as a Place with a certified
-    isolating ball: real roots ascending, then one root of each conjugate
-    pair (Im > 0) by (re, im), then their conjugates in the same order.
+    isolating ball: the real roots ascending, one root of each conjugate
+    pair (Im > 0) in no proved order, then their conjugates in the same order.
 
-    polyroots runs at doubling precision until the inclusion disks of its
-    approximations, centred on the 2^-prec grid, are pairwise disjoint.  An
-    approximation whose disk meets R is moved onto R first, so that a real
-    root gets a disk symmetric about R."""
+    polyroots runs at the precision of `refine`'s widths, 53, 106, ... bits,
+    until the inclusion disks of its approximations, centred on the 2^-prec
+    grid, are pairwise disjoint.  An approximation whose disk meets R is
+    moved onto R first, so that a real root gets a disk symmetric about R."""
     coeffs = _over_common_denominator(p.coeffs)[0]
     n = p.degree
-    prec = 53
-    while prec <= _bits(DEFAULT_WIDTH_CAP):
+
+    def separated(width: Fraction) -> list[Place] | None:
+        prec = _bits(width)
         with mpmath.workprec(prec):
             try:
                 approx = mpmath.polyroots(coeffs[::-1], maxsteps=50 + 10 * n, extraprec=prec)
             except mpmath.libmp.NoConvergence:
-                approx = []
+                return None
         disks = []  # (re, im, s) on the 2^-prec grid, Im >= 0 only
         for z in map(mpmath.mpc, approx):
             re, im = (_dyadic(part, prec) for part in (z.real, z.imag))
@@ -222,43 +225,48 @@ def isolate_roots(p: Poly) -> list[Place]:
                 im, s = 0, _newton(coeffs, re, 0, prec)[0]
             if s is not None and im >= 0:
                 disks.append((re, im, s))
-        real = [d for d in disks if d[1] == 0]
-        if len(real) + 2 * (len(disks) - len(real)) == n and all(
-            abs(u[0] - v[0]) > u[2] + v[2] or abs(u[1] - v[1]) > u[2] + v[2]
+        if sum(2 - (im == 0) for _, im, _ in disks) != n or any(
+            abs(u[0] - v[0]) <= u[2] + v[2] and abs(u[1] - v[1]) <= u[2] + v[2]
             for i, u in enumerate(disks) for v in disks[i + 1:]
         ):
-            break
-        prec *= 2
-    else:
-        raise UndecidedNumericallyError("could not separate root boxes")
-    places = [Place(coeffs, Ball(re, im, s, 1 << prec, im == 0),
-                    "real" if im == 0 else "complex")
-              for re, im, s in sorted(disks, key=lambda d: (d[1] != 0, d[0]))]
-    r = len(real)
-    separation = lru_cache(None)(lambda: _real_part_separation(coeffs))
+            return None
+        return [Place(coeffs, Ball(re, im, s, 1 << prec, im == 0), "complex" if im else "real")
+                for re, im, s in sorted(disks, key=lambda d: (d[1] != 0, d[0]))]
+
+    places = refine(separated)
+    return places + [Place(coeffs, q.isolating.conjugate(), "complex")
+                     for q in places if not q.is_real]
+
+
+def isolate_roots(p: Poly) -> list[Place]:
+    """`root_enclosures` in place order: real roots ascending, then one root
+    of each conjugate pair (Im > 0) by (re, im), then their conjugates in
+    the same order."""
+    places = root_enclosures(p)
+    r = sum(q.is_real for q in places)
+    s = (len(places) - r) // 2
+    sturm = lru_cache(None)(lambda: _sturm_sequence(_real_part_resultant(p)))
     # the refinement that proves an order happens on copies, so the places
     # keep their isolating balls
-    proof = {id(q): copy.copy(q) for q in places[r:]}
+    proof = {id(q): copy.copy(q) for q in places[r:r + s]}
 
     def order(u: Place, v: Place) -> int:
-        a, b = u.isolating, v.isolating  # one denominator, 2^prec
+        a, b = u.isolating, v.isolating  # one denominator
         if abs(a.x - b.x) > a.rad + b.rad:
             return -1 if a.x < b.x else 1
-        c = _compare_real_parts(proof[id(u)], proof[id(v)], separation)
+        c = refine(partial(_compare_real_parts, proof[id(u)], proof[id(v)], sturm))
         # equal real parts: the disjoint squares are apart in Im
         return c or (-1 if a.y < b.y else 1)
 
-    upper = sorted(places[r:], key=cmp_to_key(order))
-    lower = [Place(coeffs, q.isolating.conjugate(), "complex") for q in upper]
-    return places[:r] + upper + lower
+    pairs = sorted(zip(places[r:r + s], places[r + s:]),
+                   key=cmp_to_key(lambda x, y: order(x[0], y[0])))
+    return places[:r] + [u for u, _ in pairs] + [w for _, w in pairs]
 
 
-def _real_root_count(coeffs) -> int:
-    """The number of real roots of a squarefree integer polynomial (lowest
-    first) by Sturm's theorem: the sign changes of its Sturm sequence at -oo
-    less those at +oo.  The members are primitive pseudo-remainders, scaled
-    and divided by positive factors only, so they keep the signs of the true
-    Sturm sequence."""
+def _sturm_sequence(coeffs) -> list[list[int]]:
+    """The Sturm sequence of a squarefree integer polynomial (lowest first):
+    primitive pseudo-remainders, scaled and divided by positive factors
+    only, so they keep the signs of the true Sturm sequence."""
     a, b = list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]
     seq = [a]
     while b:
@@ -271,9 +279,23 @@ def _real_root_count(coeffs) -> int:
                 a.pop()
         g = gcd(*a)
         a, b = b, [-u // g for u in a]
-    pos = [p[-1] > 0 for p in seq]  # signs at +oo; odd degrees flip them at -oo
-    neg = [u == len(p) % 2 for u, p in zip(pos, seq)]
-    return sum(map(ne, neg, neg[1:])) - sum(map(ne, pos, pos[1:]))
+    return seq
+
+
+def _sign_changes(seq, m: int, k: int | None = None) -> int:
+    """The sign changes, zeros skipped, of a Sturm sequence at m / 2^k, or
+    at the infinity of the sign of m = +-1 if k is None."""
+    values = ([q[-1] * m ** (len(q) - 1) for q in seq] if k is None
+              else [horner(q, m, 0, k)[0] for q in seq])
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _roots_between(seq, lo: int, hi: int, k: int) -> int:
+    """The number of real roots of seq[0] in [lo, hi] / 2^k, by Sturm's
+    theorem: V(lo) - V(hi) counts those in (lo, hi]."""
+    return (_sign_changes(seq, lo, k) - _sign_changes(seq, hi, k)
+            + (horner(seq[0], lo, 0, k)[0] == 0))
 
 
 class NumberField:
@@ -296,7 +318,7 @@ class NumberField:
         self._basis_cache: list[FieldElement] | None = None
         self._sign_cache: dict = {}
         self._minpoly_cache: dict = {}
-        self._root_cache: dict = {}  # minpoly of an element -> isolate_roots
+        self._root_cache: dict = {}  # minpoly of an element -> root_enclosures
 
     @property
     def places(self) -> list[Place]:
@@ -308,7 +330,8 @@ class NumberField:
     @cached_property
     def signature(self) -> tuple[int, int]:
         """(r, s): the numbers of real places and of complex pairs."""
-        r = _real_root_count(_over_common_denominator(self.minpoly.coeffs)[0])
+        seq = _sturm_sequence(_over_common_denominator(self.minpoly.coeffs)[0])
+        r = _sign_changes(seq, -1) - _sign_changes(seq, 1)
         return r, (self.degree - r) // 2
 
     # -- constructors ------------------------------------------------

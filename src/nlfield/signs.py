@@ -9,27 +9,30 @@ into the neighbouring singular sign and quadrant.
 
 Axis membership is decided exactly, never by thresholding: the embedded
 value is matched to a root of its own minimal polynomial, whose isolating
-box from numberfield.isolate_roots certifies whether it is real, and the
-purely-imaginary test reduces to realness of the square with certified
-negative sign.
+box among the unordered numberfield.root_enclosures certifies whether it
+is real, and the purely-imaginary test reduces to realness of the square
+with certified negative sign.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 from . import coeffs
 from .algebra import AlgebraElement
 from .errors import SignlessError, UndecidedNumericallyError
+from .intervals import Ball
 from .numberfield import (
     DEFAULT_START_WIDTH,
-    DEFAULT_WIDTH_CAP,
     FieldElement,
     NumberField,
     Place,
     embed,
-    isolate_roots,
     minimal_polynomial_of,
+    refine,
+    root_enclosures,
 )
 
 # -- complex signs ---------------------------------------------------
@@ -139,70 +142,46 @@ def sign_vector_product(v1: SignVector, v2: SignVector) -> frozenset:
 
 def _matched_root(alpha: FieldElement, place: Place) -> Place:
     """The root of minpoly(alpha) equal to the embedding of alpha at the
-    place, found by shrinking boxes until exactly one candidate remains."""
+    place: the one candidate left once the balls are narrow enough."""
     m = minimal_polynomial_of(alpha)
     cache = alpha.field._root_cache
     if m not in cache:
-        cache[m] = isolate_roots(m)
-    width = DEFAULT_START_WIDTH
-    while True:
+        cache[m] = root_enclosures(m)
+
+    def match(width):
         target = embed(alpha, place, width)
         cands = [r for r in cache[m] if r.box(width).overlaps(target)]
-        if len(cands) == 1:
-            return cands[0]
-        if width < DEFAULT_WIDTH_CAP:
-            raise UndecidedNumericallyError("root matching did not separate")
-        width = width * width
+        return cands[0] if len(cands) == 1 else None
+    return refine(match)
 
 
-def _certified_real_sign(alpha: FieldElement, place: Place) -> int:
-    """Sign of the real part of a nonzero embedded value, by refining its ball."""
-    width = DEFAULT_START_WIDTH
-    while True:
-        s = embed(alpha, place, width).re_sign()
-        if s is not None:
-            return s
-        if width < DEFAULT_WIDTH_CAP:
-            raise UndecidedNumericallyError("sign refinement hit the width cap")
-        width = width * width
+def _certified_sign(alpha: FieldElement, place: Place, part) -> int:
+    """part(ball), Ball.re_sign or Ball.im_sign, of a refined ball of the value."""
+    return refine(lambda width: part(embed(alpha, place, width)))
 
 
-def _certified_im_sign(alpha: FieldElement, place: Place) -> int:
-    width = DEFAULT_START_WIDTH
-    while True:
-        s = embed(alpha, place, width).im_sign()
-        if s is not None:
-            return s
-        if width < DEFAULT_WIDTH_CAP:
-            raise UndecidedNumericallyError("sign refinement hit the width cap")
-        width = width * width
-
-
-def _is_real_at(alpha: FieldElement, place: Place) -> bool:
-    return _matched_root(alpha, place).is_real
+def _ball_quadrant(alpha: FieldElement, place: Place, width) -> ComplexSign | None:
+    """The open quadrant that the embedded value's ball lies in, if any."""
+    ball = embed(alpha, place, width)
+    return _QUADRANT_OF.get((ball.re_sign(), ball.im_sign()))
 
 
 def _complex_sign_at(alpha: FieldElement, place: Place) -> ComplexSign:
-    # Fast path: two rounds of ball refinement settle any value off both
-    # axes without touching its minimal polynomial.  The widths stay
-    # moderate: squeezing complex root balls much below 2^-40 costs more
-    # than the exact fallback it would save.
-    width = DEFAULT_START_WIDTH
-    for _ in range(2):
-        ball = embed(alpha, place, width)
-        re_s, im_s = ball.re_sign(), ball.im_sign()
-        if re_s is not None and im_s is not None:
-            return _QUADRANT_OF[re_s, im_s]
-        width = width * DEFAULT_START_WIDTH
+    # Fast path: two rounds of ball refinement, at 2^-53 and 2^-106, settle
+    # any value off both axes without touching its minimal polynomial.  The
+    # widths stay moderate: squeezing complex root balls much below 2^-40
+    # costs more than the exact fallback it would save.
+    with suppress(UndecidedNumericallyError):
+        return refine(partial(_ball_quadrant, alpha, place), DEFAULT_START_WIDTH)
     # Near (or on) an axis: decide exactly through root matching.
-    if _is_real_at(alpha, place):
-        return singular(0) if _certified_real_sign(alpha, place) > 0 else singular(2)
-    if _is_real_at(alpha * alpha, place):
+    if _matched_root(alpha, place).is_real:
+        return singular(0) if _certified_sign(alpha, place, Ball.re_sign) > 0 else singular(2)
+    if _matched_root(alpha * alpha, place).is_real:
         # square is real and alpha is not: alpha lies on the imaginary axis
-        assert _certified_real_sign(alpha * alpha, place) < 0
-        return singular(1) if _certified_im_sign(alpha, place) > 0 else singular(3)
+        assert _certified_sign(alpha * alpha, place, Ball.re_sign) < 0
+        return singular(1) if _certified_sign(alpha, place, Ball.im_sign) > 0 else singular(3)
     # off both axes: the quadrant is readable from a refined ball
-    return _QUADRANT_OF[_certified_real_sign(alpha, place), _certified_im_sign(alpha, place)]
+    return refine(partial(_ball_quadrant, alpha, place))
 
 
 def sign_of(alpha: FieldElement) -> SignVector:
@@ -213,13 +192,9 @@ def sign_of(alpha: FieldElement) -> SignVector:
     if alpha.coords in cache:
         return cache[alpha.coords]
     r, s = alpha.field.signature
-    reals = tuple(
-        _certified_real_sign(alpha, p) for p in alpha.field.places[:r]
-    )
-    complexes = tuple(
-        _complex_sign_at(alpha, p) for p in alpha.field.places[r:]
-    )
-    v = SignVector(reals, complexes)
+    places = alpha.field.places
+    v = SignVector(tuple(_certified_sign(alpha, p, Ball.re_sign) for p in places[:r]),
+                   tuple(_complex_sign_at(alpha, p) for p in places[r:]))
     cache[alpha.coords] = v
     return v
 

@@ -8,9 +8,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nlfield.errors import NotMonicError, ReduciblePolynomialError
+from nlfield.errors import NotMonicError, ReduciblePolynomialError, UndecidedNumericallyError
 from nlfield.numberfield import (
+    DEFAULT_START_WIDTH,
     FieldElement,
+    _roots_between,
+    _sturm_sequence,
     absolute_trace,
     cyclotomic_field,
     define_field,
@@ -22,6 +25,7 @@ from nlfield.numberfield import (
     minimal_polynomial_of,
     quadratic_field,
     rationals,
+    refine,
 )
 from nlfield.polys import Poly
 
@@ -254,3 +258,56 @@ def test_places_follow_the_signature():
     assert [q.is_real for q in K.places] == [True] * 4
     K = define_field(Poly([1, 0, 3, 0, 1]))
     assert [q.is_real for q in K.places] == [False] * 2
+
+
+# -- the precision ladder ----------------------------------------------
+
+
+def test_refine_raises_after_the_last_rung_below_the_cap():
+    widths = []
+    with pytest.raises(UndecidedNumericallyError):
+        refine(widths.append)
+    assert widths == [Fraction(1, 2**b) for b in (53, 106, 212, 424, 848, 1696, 3392)]
+
+
+def test_refine_returns_the_first_decision():
+    widths = []
+
+    def decide(w):
+        widths.append(w)
+        return 0 if len(widths) == 3 else None  # 0 is a decision, not None
+    assert refine(decide) == 0
+    assert widths == [Fraction(1, 2**b) for b in (53, 106, 212)]
+
+
+def test_refine_capped_at_the_start_width_runs_two_rungs():
+    widths = []
+    with pytest.raises(UndecidedNumericallyError):
+        refine(widths.append, DEFAULT_START_WIDTH)
+    assert widths == [Fraction(1, 2**53), Fraction(1, 2**106)]
+
+
+# -- Sturm counts on a closed interval ---------------------------------
+
+
+@st.composite
+def squarefree_and_interval(draw):
+    n = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    coeffs.append(draw(st.integers(-3, 3).filter(bool)))
+    assume(sympy.Poly(coeffs[::-1], sympy.Symbol("x")).is_sqf)
+    lo = draw(st.integers(-200, 200))
+    return coeffs, lo, lo + draw(st.integers(0, 200)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_and_interval())
+@example(([0, -1, 0, 1], 0, 1, 0))  # x^3 - x on [0, 1]: both endpoints are roots
+@example(([0, -1, 0, 1], -1, 0, 0))  # x^3 - x on [-1, 0]
+@example(([0, -1, 0, 1], 0, 0, 3))  # a point interval on a root
+@example(([-1, 0, 4], -2, 2, 2))  # 4x^2 - 1 on [-1/2, 1/2]
+def test_sturm_count_matches_sympy_on_a_closed_interval(case):
+    coeffs, lo, hi, k = case
+    want = sympy.Poly(coeffs[::-1], sympy.Symbol("x")).count_roots(
+        sympy.Rational(lo, 2**k), sympy.Rational(hi, 2**k))
+    assert _roots_between(_sturm_sequence(coeffs), lo, hi, k) == want
