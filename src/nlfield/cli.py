@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import dirichlet as dmod
@@ -82,8 +81,7 @@ def _resolve_field(ctx: _Ctx, args):
     if args.field:
         return ctx.session.get_field(args.field), args.field
     if args.minpoly:
-        coeffs = [Fraction(c) for c in args.minpoly.split(",")]
-        return define_field(Poly(coeffs)), None
+        return define_field(Poly(map(rat_from_str, args.minpoly.split(",")))), None
     if args.quadratic:
         return quadratic_field(args.quadratic), None
     if args.cyclotomic:

@@ -570,20 +570,32 @@ def poly_at(p: Poly, y: FieldElement) -> FieldElement:
 def define_field(minpoly: Poly) -> NumberField:
     """Build a number field from a monic irreducible polynomial.  Root
     isolation into certified, pairwise disjoint boxes happens lazily on
-    first use of the places."""
+    first use of the places.
+
+    Irreducibility is proved exactly: degree 1 always holds, x^2 + bx + c
+    splits over Q iff its discriminant b^2 - 4c is the square of a
+    rational, and higher degrees go through sympy's factorisation."""
     if minpoly.is_zero or minpoly.degree < 1:
         raise ValueError("minimal polynomial must have degree >= 1")
     if not minpoly.is_monic:
         raise NotMonicError(f"minimal polynomial must be monic: {minpoly}")
     if minpoly.degree > MAX_DESK_DEGREE:
         raise ValueError(f"degree {minpoly.degree} exceeds desk scale ({MAX_DESK_DEGREE})")
-    sp = _to_sympoly(minpoly)
-    _, factors = sp.factor_list()
-    if len(factors) > 1 or factors[0][1] > 1:
-        bad = _from_sympoly(factors[0][0].monic())
-        if bad.degree == minpoly.degree:
-            bad = _from_sympoly(factors[-1][0].monic())
-        raise ReduciblePolynomialError(bad)
+    if minpoly.degree == 2:
+        c, b, _ = minpoly.coeffs
+        disc = b * b - 4 * c
+        if disc >= 0:
+            num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+            if num * num == disc.numerator and den * den == disc.denominator:
+                # the root (-b + sqrt(disc))/2 as the factor x - root
+                raise ReduciblePolynomialError(Poly([(b - Fraction(num, den)) / 2, 1]))
+    elif minpoly.degree > 2:
+        _, factors = _to_sympoly(minpoly).factor_list()
+        if len(factors) > 1 or factors[0][1] > 1:
+            bad = _from_sympoly(factors[0][0].monic())
+            if bad.degree == minpoly.degree:
+                bad = _from_sympoly(factors[-1][0].monic())
+            raise ReduciblePolynomialError(bad)
     return NumberField(minpoly)
 
 

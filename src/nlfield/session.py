@@ -5,7 +5,8 @@ Galois groups.  Elements refer to their field by name, so a field must
 be registered before anything built on it, and removing a field with
 dependents is refused.  Serialization is canonical: rationals print as
 "p/q" strings, terms sort lexicographically by index coordinates, and
-keys are emitted sorted, so save -> load -> save is byte-identical.
+keys are emitted sorted on one compact line, so save -> load -> save is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ def rat_from_str(s: str) -> int | Fraction:
     if m is None:
         q = Fraction(s)
     else:
-        num, den = (int(Decimal(g or 1)) for g in m.groups())
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the digit limit
+            num, den = int(Decimal(m[1])), int(Decimal(m[2] or 1))
         q = num if den == 1 else Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
 
@@ -206,7 +210,9 @@ class Session:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        # compact separators keep json on its C encoder; json.loads reads
+        # the older indented files as well
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path: str):
         with open(path, "w") as fh:

@@ -222,6 +222,30 @@ def test_session_save_load_round_trip(tmp_path, capsys):
     assert doc["counts"]["fields"] == 1
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"minpoly": ["-4", "0", "1"], "signature": [2, 0]}, "reducible"),
+    ({"minpoly": ["-5", "0", "1"], "signature": [0, 1]}, "signature"),
+])
+def test_hand_edited_session_field_exits_2(tmp_path, capsys, field, message):
+    sess = tmp_path / "s.json"
+    sess.write_text(json.dumps({"fields": {"K": field}}))
+    code, doc, err = run(capsys, "--session", str(sess), "field", "list")
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_minpoly_coefficient_past_the_str_digit_limit(capsys):
+    # x^2 - 2*10^5000: a 5001-digit coefficient, past the 4300 that int(str) allows
+    code, doc, err = run(capsys, "elem", "trace", "a", "--minpoly=-2" + "0" * 5000 + ",0,1")
+    assert code == 0, err
+    assert doc["trace"] == "0"
+    # x^2 - 10^5000 = (x - 10^2500)(x + 10^2500) is refused as reducible
+    code, _, err = run(capsys, "elem", "trace", "a", "--minpoly=-1" + "0" * 5000 + ",0,1")
+    assert code == 2
+    assert "reducible" in err and "Exceeds" not in err
+
+
 # -- exit-code contract on arbitrary argv --------------------------------
 
 

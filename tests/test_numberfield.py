@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nlfield import numberfield
 from nlfield.errors import NotMonicError, ReduciblePolynomialError, UndecidedNumericallyError
 from nlfield.numberfield import (
     DEFAULT_START_WIDTH,
@@ -43,6 +44,47 @@ def test_define_field_rejects_reducible():
     with pytest.raises(ReduciblePolynomialError) as err:
         define_field(Poly([-1, 0, 1]))  # x^2 - 1 = (x-1)(x+1)
     assert "factor" in str(err.value)
+
+
+# (c, b) of x^2 + bx + c: any coefficients, or the product of two linear factors
+monic_quadratics = st.one_of(
+    st.tuples(small_rats, small_rats),
+    st.tuples(small_rats, small_rats).map(lambda r: (r[0] * r[1], -r[0] - r[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_quadratics)
+@example((Fraction(-9, 4), 0))  # x^2 - 9/4 = (x - 3/2)(x + 3/2)
+@example((1, 2))  # x^2 + 2x + 1: zero discriminant
+@example((-2, 0))  # x^2 - 2
+@example((1, 0))  # x^2 + 1
+def test_quadratic_irreducibility_agrees_with_sympy(cb):
+    c, b = cb
+    p = Poly([c, b, 1])
+    _, factors = sympy.Poly([1, b, c], sympy.Symbol("x"), domain="QQ").factor_list()
+    irreducible = len(factors) == 1 and factors[0][1] == 1
+    try:
+        define_field(p)
+    except ReduciblePolynomialError as err:
+        assert not irreducible
+        factor = err.factor
+        assert factor.degree == 1 and factor.is_monic
+        assert p.divmod(factor)[1].is_zero
+    else:
+        assert irreducible
+
+
+def test_low_degrees_need_no_sympy(monkeypatch):
+    def no_sympy(p):
+        raise AssertionError("define_field called sympy")
+    monkeypatch.setattr(numberfield, "_to_sympoly", no_sympy)
+    for n in (2, -1, 5, -163):
+        K = quadratic_field.__wrapped__(n)  # past the cache, so define_field runs
+        assert K.degree == 2
+    assert define_field(Poly([Fraction(-1, 3), 1])).degree == 1
+    with pytest.raises(ReduciblePolynomialError):
+        define_field(Poly([-4, 0, 1]))
 
 
 def test_signatures():

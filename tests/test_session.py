@@ -53,6 +53,18 @@ def test_save_load_file(tmp_path):
     assert Session.load(p).dumps() == s.dumps()
 
 
+def test_indented_session_loads_and_saves_compact(tmp_path):
+    # the indented form that earlier versions wrote
+    s = make_session()
+    old = json.dumps(s.to_json(), sort_keys=True, indent=2) + "\n"
+    p = tmp_path / "old.json"
+    p.write_text(old)
+    text = Session.load(p).dumps()
+    assert text != old and "\n" not in text[:-1] and ", " not in text
+    assert json.loads(text) == json.loads(old)
+    assert text == s.dumps() == Session.loads(text).dumps()
+
+
 def test_duplicate_names_rejected():
     s = make_session()
     with pytest.raises(SessionError):
