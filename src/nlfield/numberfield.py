@@ -592,10 +592,8 @@ def define_field(minpoly: Poly) -> NumberField:
     elif minpoly.degree > 2:
         _, factors = _to_sympoly(minpoly).factor_list()
         if len(factors) > 1 or factors[0][1] > 1:
-            bad = _from_sympoly(factors[0][0].monic())
-            if bad.degree == minpoly.degree:
-                bad = _from_sympoly(factors[-1][0].monic())
-            raise ReduciblePolynomialError(bad)
+            # a proper factor: a repeated one has lower degree than minpoly
+            raise ReduciblePolynomialError(_from_sympoly(factors[0][0].monic()))
     return NumberField(minpoly)
 
 

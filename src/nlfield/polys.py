@@ -3,8 +3,8 @@
 Coefficients are stored lowest degree first.  The zero polynomial is the
 empty tuple.  This is deliberately minimal: just what field construction
 and inversion modulo a minimal polynomial (extended gcd) need.  Heavy
-lifting (irreducibility, factoring, characteristic polynomials) is
-delegated to sympy in numberfield.py.
+lifting (irreducibility from degree 3, factoring, characteristic
+polynomials) is delegated to sympy in numberfield.py.
 """
 
 from __future__ import annotations
