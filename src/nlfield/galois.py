@@ -28,7 +28,6 @@ from .numberfield import (
     absolute_trace,
     cyclotomic_field,
     embed_vector,
-    minimal_polynomial_of,
     poly_at,
     trace_on_infinity,
 )
@@ -41,7 +40,8 @@ class Automorphism:
     def __init__(self, field: NumberField, image: FieldElement, _checked=False):
         if image.field != field:
             raise NotAnAutomorphismError("image lives in a different field")
-        if not _checked and minimal_polynomial_of(image) != field.minpoly:
+        # p(image) = 0 with p irreducible makes p the minimal polynomial of image
+        if not _checked and not poly_at(field.minpoly, image).is_zero:
             raise NotAnAutomorphismError(
                 "generator image does not satisfy the defining polynomial"
             )

@@ -40,7 +40,7 @@ from .errors import (
     UndecidedNumericallyError,
 )
 from .intervals import Ball, eval_poly_box, horner
-from .polys import Poly, poly_xgcd
+from .polys import Poly
 
 # The precision ladder, which lives in `refine`: 2^-53, then the square of
 # the last width, until a width below the cap has failed.
@@ -461,8 +461,13 @@ class FieldElement:
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.field, [-c for c in self.num], self.den)
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "FieldElement":
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "FieldElement":
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "FieldElement":
         """Schoolbook product of the numerators, folded back to degree
@@ -489,13 +494,17 @@ class FieldElement:
         return self * other
 
     def inverse(self) -> "FieldElement":
+        """By Cayley-Hamilton: with chi = x^d + c_(d-1) x^(d-1) + ... + c_0
+        the characteristic polynomial of self, self^-1 is
+        -(self^(d-1) + c_(d-1) self^(d-2) + ... + c_1) / c_0."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        g, s, _ = poly_xgcd(Poly(self.coords), self.field.minpoly)
-        # minpoly irreducible and self nonzero, so the gcd is 1
-        assert g == Poly([1])
-        cs = (s % self.field.minpoly).coeffs
-        return self.field.element(cs + (0,) * (self.field.degree - len(cs)))
+        powers = PowerMap(self, self.field.degree + 1)
+        chi = _monic_from_power_sums([absolute_trace(p) for p in powers.powers[1:]])
+        return powers(*_over_common_denominator([c / -chi[0] for c in chi[1:]]))
+
+    def __rtruediv__(self, other) -> "FieldElement":
+        return self._coerce(other) * self.inverse()
 
     def __truediv__(self, other) -> "FieldElement":
         other = self._coerce(other)
@@ -541,15 +550,16 @@ class PowerMap:
     """c -> c_0 + c_1 y + ... + c_(n-1) y^(n-1) as an integer matrix over one
     denominator, its columns the powers of y: the one evaluator of a rational
     polynomial at a field element, and the matrix of an automorphism or a
-    tower embedding (y the image of the generator)."""
+    tower embedding (y the image of the generator).  `powers` keeps the
+    powers 1, y, ..., y^(n-1) as field elements."""
 
-    __slots__ = ("field", "rows", "den")
+    __slots__ = ("field", "powers", "rows", "den")
 
     def __init__(self, y: FieldElement, n: int):
         powers = [y.field.one]
         for _ in range(1, n):
             powers.append(powers[-1] * y)
-        self.field, self.den = y.field, lcm(*(p.den for p in powers))
+        self.field, self.powers, self.den = y.field, powers, lcm(*(p.den for p in powers))
         self.rows = list(zip(*([c * (self.den // p.den) for c in p.num] for p in powers)))
 
     def __call__(self, num, den: int = 1) -> FieldElement:
@@ -562,6 +572,17 @@ def poly_at(p: Poly, y: FieldElement) -> FieldElement:
     """p(y), exactly, in the field of y."""
     num, den = _over_common_denominator(p.coeffs)
     return PowerMap(y, len(num))(num, den)
+
+
+def _monic_from_power_sums(sums) -> list[Fraction]:
+    """The monic polynomial of degree n = len(sums) whose n roots, counted
+    with multiplicity, have the power sums p_k = sums[k - 1], lowest
+    coefficient first.  With b_k the coefficient of x^(n-k), Newton's
+    identities read k b_k = -(b_(k-1) p_1 + b_(k-2) p_2 + ... + b_0 p_k)."""
+    b = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        b.append(-sum(map(mul, reversed(b), sums)) / k)
+    return b[::-1]
 
 
 # -- field construction ---------------------------------------------
@@ -607,24 +628,25 @@ def absolute_trace(a: FieldElement) -> Fraction:
 
 
 def minimal_polynomial_of(a: FieldElement) -> Poly:
-    """Monic minimal polynomial of a over Q."""
+    """Monic minimal polynomial m of a over Q, from its characteristic
+    polynomial chi = m^(d / deg m) without factoring: the roots of m carry
+    the power sums Tr(a^j) deg m / d.  For each divisor k of d, ascending,
+    the monic polynomial of degree k with the power sums Tr(a^j) k / d is
+    tried at a; the first that vanishes there is m, as no nonzero
+    polynomial of degree below deg m does."""
     key = a.coords
     cache = a.field._minpoly_cache
     if key in cache:
         return cache[key]
     d = a.field.degree
-    cols = [(a * bj).coords for bj in a.field.power_basis()]
-    m = sympy.Matrix(
-        d, d, lambda i, j: sympy.Rational(cols[j][i].numerator, cols[j][i].denominator)
-    )
-    charpoly = m.charpoly(_sym_x)
-    _, factors = sympy.Poly(charpoly.as_expr(), _sym_x).factor_list()
-    for fac, _mult in factors:
-        p = _from_sympoly(fac.monic())
-        if poly_at(p, a).is_zero:
-            cache[key] = p
+    powers = PowerMap(a, d + 1)
+    sums = [absolute_trace(p) for p in powers.powers[1:]]
+    for k in (k for k in range(1, d + 1) if d % k == 0):
+        m = _monic_from_power_sums([s * k / d for s in sums[:k]])
+        if powers(*_over_common_denominator(m)).is_zero:
+            cache[key] = p = Poly(m)
             return p
-    raise AssertionError("characteristic polynomial has no factor vanishing at a")
+    raise AssertionError("no candidate of degree dividing d vanishes at a")
 
 
 def embed(a: FieldElement, place: Place, width: Fraction = DEFAULT_START_WIDTH) -> Ball:

@@ -1,10 +1,9 @@
 """Univariate polynomials with exact rational coefficients.
 
-Coefficients are stored lowest degree first.  The zero polynomial is the
-empty tuple.  This is deliberately minimal: just what field construction
-and inversion modulo a minimal polynomial (extended gcd) need.  Heavy
-lifting (irreducibility from degree 3, factoring, characteristic
-polynomials) is delegated to sympy in numberfield.py.
+Coefficients are stored lowest degree first, and the zero polynomial is
+the empty tuple.  A Poly is the value type of defining and minimal
+polynomials; its arithmetic is the reference that tests compare field
+arithmetic with.  Factoring from degree 3 is delegated to sympy.
 """
 
 from __future__ import annotations
@@ -109,12 +108,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return Poly([c / lead for c in self.coeffs])
-
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -132,20 +125,3 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Poly([1]), Poly()
-    t0, t1 = Poly(), Poly([1])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading
-    inv = Fraction(1) / lead
-    return r0.monic(), inv * s0, inv * t0

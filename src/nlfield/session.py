@@ -32,7 +32,8 @@ _KINDS = ("fields", "elements", "algebra", "groups")
 
 def rat_to_str(q) -> str:
     """q as "p" or "p/q" in lowest terms."""
-    q = Fraction(q)
+    if type(q) is not int and type(q) is not Fraction:
+        q = Fraction(q)
     try:
         return str(q)
     except ValueError:

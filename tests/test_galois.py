@@ -26,7 +26,7 @@ from nlfield.galois import (
     verify_nonlinear_automorphism,
 )
 from nlfield.hardy import l2_norm
-from nlfield.numberfield import cyclotomic_field, quadratic_field
+from nlfield.numberfield import absolute_trace, cyclotomic_field, quadratic_field
 from nlfield.polys import Poly
 
 
@@ -34,6 +34,22 @@ def test_not_an_automorphism_rejected():
     K = quadratic_field(2)
     with pytest.raises(NotAnAutomorphismError):
         make_automorphism(K, K.one + K.gen)  # wrong minimal polynomial
+
+
+def test_image_with_the_right_trace_but_the_wrong_minpoly_rejected():
+    # 2 sqrt2 has trace 0 like sqrt2, but norm -8, not -2
+    K = quadratic_field(2)
+    assert absolute_trace(2 * K.gen) == absolute_trace(K.gen)
+    with pytest.raises(NotAnAutomorphismError):
+        make_automorphism(K, 2 * K.gen)
+    # z^2 + z^3 - z^4 has trace -1 like zeta5, but is no root of Phi_5
+    L = cyclotomic_field(5)
+    z = L.gen
+    image = z ** 2 + z ** 3 - z ** 4
+    assert absolute_trace(image) == absolute_trace(z)
+    with pytest.raises(NotAnAutomorphismError):
+        make_automorphism(L, image)
+    assert make_automorphism(L, z ** 2).image == z ** 2
 
 
 def test_quadratic_group():

@@ -1,5 +1,6 @@
 """Exact field arithmetic, places, traces, and the inverse different."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -353,3 +354,75 @@ def test_sturm_count_matches_sympy_on_a_closed_interval(case):
     want = sympy.Poly(coeffs[::-1], sympy.Symbol("x")).count_roots(
         sympy.Rational(lo, 2**k), sympy.Rational(hi, 2**k))
     assert _roots_between(_sturm_sequence(coeffs), lo, hi, k) == want
+
+
+# -- minimal polynomials and inverses against sympy ---------------------
+
+# degrees 1-8: Q(1/2), Q(i), x^3 - x/3 + 1/5, Q(zeta5), x^6 - 2, Q(zeta7),
+# Q(zeta8) and Q(zeta15)
+ORACLE_FIELDS = [Poly([Fraction(-1, 2), 1]), Poly([1, 0, 1]),
+                 Poly([Fraction(1, 5), Fraction(-1, 3), 0, 1]),
+                 cyclotomic_field(5).minpoly, Poly([-2, 0, 0, 0, 0, 0, 1]),
+                 cyclotomic_field(7).minpoly, cyclotomic_field(8).minpoly,
+                 cyclotomic_field(15).minpoly]
+
+
+def _oracle_minpoly(a: FieldElement) -> Poly:
+    """The one irreducible factor of sympy's characteristic polynomial of
+    multiplication by a, made monic."""
+    d = a.field.degree
+    cols = [(a * b).coords for b in a.field.power_basis()]
+    m = sympy.Matrix(d, d, lambda i, j: sympy.Rational(cols[j][i].numerator,
+                                                       cols[j][i].denominator))
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(m.charpoly(x).as_expr(), x).factor_list()
+    assert len(factors) == 1  # chi_a is a power of the minimal polynomial
+    return Poly([Fraction(c.p, c.q) for c in reversed(factors[0][0].monic().all_coeffs())])
+
+
+def _oracle_corpus(K, rng):
+    g = K.gen
+    d = K.degree
+    # subfield elements, where the divisor loop stops below d
+    els = [K.from_rational(Fraction(-3, 7)), K.one, g * g, g ** max(d // 2, 1),
+           g + g ** (d - 1), g + g.inverse(), g]
+    for _ in range(12):
+        els.append(K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              if rng.random() < 0.7 else 0 for _ in range(d)]))
+    return [a for a in els if not a.is_zero]
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=str)
+def test_minimal_polynomial_and_inverse_match_sympy(p):
+    K = define_field(p)
+    for a in _oracle_corpus(K, random.Random(11 * K.degree)):
+        K._minpoly_cache.clear()
+        assert minimal_polynomial_of(a) == _oracle_minpoly(a)
+        assert a * a.inverse() == K.one
+
+
+def test_minimal_polynomial_of_subfield_elements_in_q_zeta8():
+    K = cyclotomic_field(8)
+    g = K.gen
+    assert minimal_polynomial_of(g + g.inverse()) == Poly([-2, 0, 1])  # sqrt 2
+    assert minimal_polynomial_of(g * g) == Poly([1, 0, 1])  # i
+    assert minimal_polynomial_of(K.from_rational(5)) == Poly([-5, 1])
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        quadratic_field(2).zero.inverse()
+
+
+# -- mixed rational / element arithmetic ---------------------------------
+
+
+@given(field_and_elements(1), st.one_of(st.integers(-50, 50), small_rats))
+@settings(max_examples=100, deadline=None)
+@example((quadratic_field(-1), quadratic_field(-1).gen), 1)  # 1 + i, 1 - i, 1 / i
+def test_mixed_rational_element_laws(ka, q):
+    K, a = ka
+    assert q + a == a + q
+    assert q - a == -(a - q)
+    if not a.is_zero:
+        assert q / a * a == K.from_rational(q)

@@ -14,7 +14,7 @@ from nlfield.galois import group_from_family
 from nlfield.numberfield import cyclotomic_field, define_field, quadratic_field, rationals
 from nlfield.parser import parse_algebra
 from nlfield.polys import Poly
-from nlfield.session import Session, field_to_json, rat_from_str
+from nlfield.session import Session, field_to_json, rat_from_str, rat_to_str
 
 
 def make_session():
@@ -167,3 +167,15 @@ def test_rat_from_str_refuses_what_fraction_refuses(text):
 @settings(max_examples=200, deadline=None)
 def test_rat_from_str_inverts_str(q, pad):
     assert rat_from_str(pad + str(q) + pad) == q
+
+
+@pytest.mark.parametrize("q", [0, -7, 10 ** 30, Fraction(-6, 4), Fraction(1, 3), "2/4", 0.5])
+def test_rat_to_str_writes_lowest_terms(q):
+    assert rat_to_str(q) == str(Fraction(q))
+
+
+def test_rat_to_str_past_the_str_digit_limit():
+    # 5000 and 4401 digits, past the 4300 that str(int) allows
+    assert rat_to_str(10 ** 5000) == "1" + "0" * 5000
+    assert rat_to_str(Fraction(10 ** 4400 + 1, 3)) == "1" + "0" * 4399 + "1/3"
+    assert rat_from_str(rat_to_str(-(10 ** 5000))) == -(10 ** 5000)
