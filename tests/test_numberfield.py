@@ -401,14 +401,6 @@ def test_minimal_polynomial_and_inverse_match_sympy(p):
         assert a * a.inverse() == K.one
 
 
-def test_minimal_polynomial_of_subfield_elements_in_q_zeta8():
-    K = cyclotomic_field(8)
-    g = K.gen
-    assert minimal_polynomial_of(g + g.inverse()) == Poly([-2, 0, 1])  # sqrt 2
-    assert minimal_polynomial_of(g * g) == Poly([1, 0, 1])  # i
-    assert minimal_polynomial_of(K.from_rational(5)) == Poly([-5, 1])
-
-
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         quadratic_field(2).zero.inverse()
