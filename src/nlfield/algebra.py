@@ -35,7 +35,7 @@ class AlgebraElement:
             if idx.field != field:
                 raise FieldMismatchError("index from a different field")
             c = coeffs.coerce(c, mode)
-            if not coeffs.is_zero(c):
+            if c:
                 clean[idx] = c
         self.terms = clean
 
@@ -139,7 +139,7 @@ class AlgebraElement:
         a0 = self.constant
         b0 = other.constant
         d0 = a0 * sum_b + b0 * sum_a + a0 * b0
-        if not coeffs.is_zero(d0):
+        if d0:
             out[zero_idx] = out.get(zero_idx, zero) + d0
         return AlgebraElement(self.field, self.mode, out)
 
@@ -154,38 +154,42 @@ class AlgebraElement:
     def is_in_ideal(self, tol: float = 1e-12) -> bool:
         t = self.trace()
         if self.mode == EXACT:
-            return coeffs.is_zero(t)
+            return not t
         return abs(t) <= tol
 
     def projectivize(self) -> "ProjectiveClass":
         t = self.trace()
-        if coeffs.is_zero(t):
+        if not t:
             raise NotProjectivizableError("zero-trace element is not projectivizable")
-        inv = (
-            coeffs.one(self.mode) / t
-            if self.mode == EXACT
-            else 1.0 / t
-        )
-        return ProjectiveClass(self.scale(inv))
+        return ProjectiveClass(self.scale(coeffs.coerce(1, self.mode) / t))
 
 
 @dataclass(frozen=True)
 class ProjectiveClass:
-    """A projective class represented by its trace-one element."""
+    """A projective class represented by its trace-one element, which is
+    canonical: two classes are equal iff their representatives are, exactly
+    in exact mode and coefficientwise within 1e-12 * max(1, max|c|) in
+    approx mode."""
 
     representative: AlgebraElement
 
     def __post_init__(self):
         t = self.representative.trace()
         if self.representative.mode == EXACT:
-            assert t == coeffs.one(EXACT)
+            assert t == coeffs.coerce(1, EXACT)
         else:
             assert abs(t - 1.0) < 1e-9
 
     def __eq__(self, other):
-        return isinstance(other, ProjectiveClass) and projective_eq(
-            self.representative, other.representative
-        )
+        if not isinstance(other, ProjectiveClass):
+            return False
+        f, g = self.representative, other.representative
+        if f.mode == EXACT:
+            return f == g
+        if f.field != g.field or g.mode != APPROX or f.terms.keys() != g.terms.keys():
+            return False
+        tol = 1e-12 * max(1.0, *map(abs, f.terms.values()), *map(abs, g.terms.values()))
+        return all(abs(c - g.terms[k]) <= tol for k, c in f.terms.items())
 
     def __hash__(self):
         return hash(frozenset(self.representative.terms))
@@ -196,30 +200,4 @@ class ProjectiveClass:
 
 def monomial(alpha: FieldElement, coeff=1, mode: str = EXACT) -> AlgebraElement:
     return AlgebraElement(alpha.field, mode, {alpha: coeff})
-
-
-# -- projective comparison -------------------------------------------
-
-
-def projective_eq(f: AlgebraElement, g: AlgebraElement, tol: float = 1e-12) -> bool:
-    """True iff f = lambda * g for some nonzero scalar, by cross-multiplying
-    coefficient pairs (works for zero-trace elements too)."""
-    if f.field != g.field or f.mode != g.mode:
-        return False
-    if f.is_zero or g.is_zero:
-        return f.is_zero and g.is_zero
-    if f.support != g.support:
-        return False
-    items = list(f.terms)
-    k0 = items[0]
-    fa, ga = f.terms[k0], g.terms[k0]
-    if f.mode == EXACT:
-        return all(f.terms[k] * ga == g.terms[k] * fa for k in items[1:])
-    scale = max(abs(coeffs.to_complex(c)) for c in f.terms.values()) * max(
-        abs(coeffs.to_complex(c)) for c in g.terms.values()
-    )
-    return all(
-        abs(f.terms[k] * ga - g.terms[k] * fa) <= tol * max(scale, 1.0)
-        for k in items[1:]
-    )
 

@@ -18,7 +18,7 @@ from functools import cache
 from . import dirichlet as dmod
 from . import hardy, session as smod, signs
 from .algebra import AlgebraElement, monomial
-from .coeffs import APPROX, EXACT, GaussRat, to_complex
+from .coeffs import APPROX, EXACT, GaussRat
 from .errors import NlfieldError
 from .galois import (
     FlowParameter,
@@ -100,19 +100,21 @@ def _field_label(field, name):
 # -- csv io ----------------------------------------------------------
 
 
-def _read_series(path: str, N: int, mode: str = EXACT) -> dmod.IntegerSeries:
+def _read_series(path: str, N: int) -> dmod.IntegerSeries:
     vals = [0] * N
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip() == "n":
                 continue
+            if len(row) < 2:
+                raise SystemExit2(f"CSV row {row[0]!r} has no real part")
             n = int(row[0])
-            re = rat_from_str(row[1]) if mode == EXACT else float(row[1])
+            re = rat_from_str(row[1])
             im = rat_from_str(row[2]) if len(row) > 2 and row[2] else 0
             if not 1 <= n <= N:
                 raise SystemExit2(f"coefficient index {n} outside 1..{N}")
-            vals[n - 1] = GaussRat(re, im) if mode == EXACT else complex(re, im)
-    return dmod.IntegerSeries(N, vals, mode)
+            vals[n - 1] = GaussRat(re, im)
+    return dmod.IntegerSeries(N, vals)
 
 
 def _write_series(path: str, s: dmod.IntegerSeries):
@@ -121,10 +123,7 @@ def _write_series(path: str, s: dmod.IntegerSeries):
         w.writerow(["n", "re", "im"])
         for n in s.support():
             c = s[n]
-            if s.mode == EXACT:
-                w.writerow([n, rat_to_str(c.re), rat_to_str(c.im)])
-            else:
-                w.writerow([n, repr(c.real), repr(c.imag)])
+            w.writerow([n, rat_to_str(c.re), rat_to_str(c.im)])
 
 
 # -- command implementations -----------------------------------------
@@ -198,7 +197,7 @@ def cmd_alg(ctx, args):
         ctx.emit({"command": f"alg {args.action}", "result": doc},
                  f"{len(out.terms)} terms")
     elif args.action == "trace":
-        t = to_complex(f.trace())
+        t = complex(f.trace())
         ctx.emit({"command": "alg trace", "re": t.real, "im": t.imag},
                  f"T = {t}")
     elif args.action == "grade":
@@ -207,7 +206,7 @@ def cmd_alg(ctx, args):
             "|".join(v.serialize()): smod.algebra_to_json(part, label)
             for v, part in g.components.items()
         }
-        c0 = to_complex(g.constant)
+        c0 = complex(g.constant)
         ctx.emit(
             {"command": "alg grade", "constant": {"re": c0.real, "im": c0.imag},
              "components": comps},
@@ -296,6 +295,8 @@ def cmd_hardy(ctx, args):
     if args.action == "eval":
         f = parse_algebra(args.expr, field)
         if args.ladder:
+            if args.ladder < 0:
+                raise SystemExit2(f"--ladder needs K >= 0, got {args.ladder}")
             rows = []
             for k in range(args.ladder + 1):
                 t = 2.0 ** -k

@@ -1,9 +1,13 @@
 """Coefficient arithmetic for the field algebra.
 
-Two modes exist and never mix inside one element:
+A coefficient is a `GaussRat` or a python `complex`, one per mode, and
+the two modes never mix inside one element:
 
   exact  -- Gaussian rationals (x + y*i)/den over integers; never rounds.
   approx -- python complex at double precision, for flows and Hardy numerics.
+
+Both answer Python's number protocol: `bool(c)` is False exactly at zero
+and `complex(c)` is the double-precision value.
 """
 
 from __future__ import annotations
@@ -82,12 +86,17 @@ class GaussRat:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
+    def __bool__(self) -> bool:
+        return self.x != 0 or self.y != 0
+
     def abs2(self) -> Fraction:
         return Fraction(self.x * self.x + self.y * self.y, self.den * self.den)
 
     def to_complex(self) -> complex:
         # int / int rounds correctly, as float(Fraction) does
         return complex(self.x / self.den, self.y / self.den)
+
+    __complex__ = to_complex
 
     def __repr__(self):
         if self.y == 0:
@@ -110,7 +119,6 @@ def _gauss(x: int, y: int, den: int) -> GaussRat:
 
 
 _ZERO = GaussRat()
-_ONE = GaussRat(1)
 
 
 def coerce(value, mode: str):
@@ -122,27 +130,9 @@ def coerce(value, mode: str):
             raise TypeError("complex floats are approx-mode values")
         return GaussRat(value)
     if mode == APPROX:
-        if isinstance(value, GaussRat):
-            return value.to_complex()
         return complex(value)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def is_zero(value) -> bool:
-    if isinstance(value, GaussRat):
-        return value.is_zero
-    return value == 0
-
-
 def zero(mode: str):
     return _ZERO if mode == EXACT else 0j
-
-
-def one(mode: str):
-    return _ONE if mode == EXACT else 1 + 0j
-
-
-def to_complex(value) -> complex:
-    if isinstance(value, GaussRat):
-        return value.to_complex()
-    return complex(value)

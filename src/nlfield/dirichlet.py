@@ -93,14 +93,14 @@ class IntegerSeries:
         return IntegerSeries(N, [1] * N, mode)
 
     def support(self) -> list[int]:
-        return [n for n, c in enumerate(self.a, 1) if not coeffs.is_zero(c)]
+        return [n for n, c in enumerate(self.a, 1) if c]
 
     def log_terms(self) -> list[tuple]:
         """(log n, complex a_n) for every nonzero a_n, built on first use;
         series are values, so `a` is never changed."""
         if self._terms is None:
-            self._terms = [(math.log(n), coeffs.to_complex(c))
-                           for n, c in enumerate(self.a, 1) if not coeffs.is_zero(c)]
+            self._terms = [(math.log(n), complex(c))
+                           for n, c in enumerate(self.a, 1) if c]
         return self._terms
 
 
@@ -133,9 +133,9 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
         raise ValueError("series must share bound and mode")
     N = f.N
     out = [coeffs.zero(f.mode)] * (N + 1)
-    bs = [(k, c) for k, c in enumerate(g.a, 1) if not coeffs.is_zero(c)]
+    bs = [(k, c) for k, c in enumerate(g.a, 1) if c]
     for d, ad in enumerate(f.a, 1):
-        if coeffs.is_zero(ad):
+        if not ad:
             continue
         top = N // d
         for k, bk in bs:
@@ -148,19 +148,18 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
 def dinvert(f: IntegerSeries) -> IntegerSeries:
     """Dirichlet inverse: dconv(f, result) = delta_1 up to N.  Each b_d, once
     final, is pushed forward into the sums of its multiples."""
-    if coeffs.is_zero(f[1]):
+    if not f[1]:
         raise NotInvertibleError("leading coefficient a_1 is zero")
     N = f.N
-    one = coeffs.one(f.mode)
-    inv_a1 = one / f[1] if f.mode == EXACT else 1.0 / f[1]
+    inv_a1 = coeffs.coerce(1, f.mode) / f[1]
     acc = [coeffs.zero(f.mode)] * (N + 1)
     b = [coeffs.zero(f.mode)] * (N + 1)
-    b[1] = one * inv_a1
-    tail = [(k, c) for k, c in enumerate(f.a[1:], 2) if not coeffs.is_zero(c)]
+    b[1] = inv_a1
+    tail = [(k, c) for k, c in enumerate(f.a[1:], 2) if c]
     for n in range(1, N + 1):
         if n > 1:
             b[n] = -(acc[n] * inv_a1)
-        if coeffs.is_zero(b[n]):
+        if not b[n]:
             continue
         top = N // n
         for k, ak in tail:

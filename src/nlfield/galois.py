@@ -59,9 +59,6 @@ class Automorphism:
             raise FieldMismatchError("element of a different field")
         return self._matrix(a.num, a.den)
 
-    def __call__(self, a: FieldElement) -> FieldElement:
-        return self.apply(a)
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
         return Automorphism(self.field, self.apply(other.image), _checked=True)
@@ -386,7 +383,7 @@ def flow_phi(r: FlowParameter, f: AlgebraElement) -> AlgebraElement:
     for idx, c in f.terms.items():
         emb = embed_vector(idx)
         tr = trace_on_infinity(f.field, [a * b for a, b in zip(emb, r.coords)])
-        out[idx] = coeffs.to_complex(c) * cmath.exp(2j * math.pi * tr)
+        out[idx] = complex(c) * cmath.exp(2j * math.pi * tr)
     return AlgebraElement(f.field, coeffs.APPROX, out)
 
 
@@ -397,10 +394,10 @@ def flow_psi(r: FlowParameter, f: AlgebraElement) -> AlgebraElement:
     out = {}
     for idx, c in f.terms.items():
         if idx.is_zero:
-            out[idx] = coeffs.to_complex(c)
+            out[idx] = complex(c)
             continue
         emb = embed_vector(idx)
         logs = [math.log(abs(v)) for v in emb]
         tr = trace_on_infinity(f.field, [b * a for a, b in zip(logs, r.coords)])
-        out[idx] = coeffs.to_complex(c) * cmath.exp(2j * math.pi * tr)
+        out[idx] = complex(c) * cmath.exp(2j * math.pi * tr)
     return AlgebraElement(f.field, coeffs.APPROX, out)

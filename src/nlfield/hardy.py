@@ -24,9 +24,8 @@ from .errors import BandwidthError, FieldMismatchError
 from .numberfield import (
     FieldElement,
     NumberField,
-    absolute_trace,
+    dual_vector,
     embed_vector,
-    is_in_inverse_different,
     trace_on_infinity,
 )
 from .signs import GradedDecomposition, grade, quadrant, sign_of
@@ -101,15 +100,10 @@ def character_eval_torus(alpha: FieldElement, p: TorusPoint) -> EvalResult:
     """Character at a torus point: exp(2 pi i c . n(alpha)) where
     n_j(alpha) = Tr(alpha a^j) is the pairing of alpha with the power
     basis (integer for alpha in the inverse different)."""
-    n = _dual_vector(alpha)
+    n = dual_vector(alpha)
     arg = sum(Fraction(c) * nj for c, nj in zip(p.coords, n))
     value = cmath.exp(2j * math.pi * float(arg))
     return EvalResult(value, (2 * math.pi * abs(float(arg)) + 2) * EPS)
-
-
-def _dual_vector(alpha: FieldElement):
-    """Pairing of alpha against the power basis: (Tr(alpha a^j))_j."""
-    return [absolute_trace(alpha * b) for b in alpha.field.power_basis()]
 
 
 # -- hyperbolic series evaluation ------------------------------------
@@ -135,12 +129,12 @@ def series_eval_hyper(
         raise FieldMismatchError("point shape does not match the field signature")
     if graded is None:
         graded = grade(f)
-    total = coeffs.to_complex(graded.constant)
+    total = complex(graded.constant)
     bound = 2 * EPS
     for v, part in graded.components.items():
         for idx, c in part.terms.items():
             emb = embed_vector(idx)
-            term = coeffs.to_complex(c)
+            term = complex(c)
             phase_size = 0.0
             for j in range(r):
                 a = emb[j].real
@@ -163,14 +157,15 @@ def series_eval_hyper(
 
 def series_eval_boundary(f: AlgebraElement, x) -> EvalResult:
     """Boundary character sum at a K-infinity vector x (all t = 0)."""
-    total = coeffs.to_complex(f.constant)
+    total = complex(f.constant)
     bound = 2 * EPS
     for idx, c in f.terms.items():
         if idx.is_zero:
             continue
         res = character_eval(idx, x)
-        total += coeffs.to_complex(c) * res.value
-        bound += abs(coeffs.to_complex(c)) * (res.bound + 2 * EPS)
+        c = complex(c)
+        total += c * res.value
+        bound += abs(c) * (res.bound + 2 * EPS)
     return EvalResult(total, bound)
 
 
@@ -217,22 +212,17 @@ def torus_inner_product(f: AlgebraElement, g: AlgebraElement, grid: int) -> Eval
     specs = []
     band = 0
     for h in (f, g):
-        for idx in h.terms:
-            if not idx.is_zero and not is_in_inverse_different(idx):
+        terms = []
+        for idx, c in h.terms.items():
+            n = dual_vector(idx)
+            if any(q.denominator != 1 for q in n):
                 raise ValueError(
                     "indices must lie in the inverse different to define "
                     "functions on the torus"
                 )
-    for h in (f, g):
-        terms = []
-        for idx, c in h.terms.items():
-            n = _dual_vector(idx)
-            ints = []
-            for q in n:
-                assert q.denominator == 1
-                ints.append(int(q))
-                band = max(band, abs(int(q)))
-            terms.append((ints, coeffs.to_complex(c)))
+            ints = [int(q) for q in n]
+            band = max(band, *map(abs, ints))
+            terms.append((ints, complex(c)))
         specs.append(terms)
     if grid < 2 * band + 1:
         raise BandwidthError(

@@ -627,6 +627,11 @@ def absolute_trace(a: FieldElement) -> Fraction:
     return Fraction(sum(map(mul, a.num, a.field._traces)), a.field._reduction[0] * a.den)
 
 
+def dual_vector(a: FieldElement) -> list[Fraction]:
+    """Pairing of a against the power basis: (Tr(a * x^j))_j."""
+    return [absolute_trace(a * b) for b in a.field.power_basis()]
+
+
 def minimal_polynomial_of(a: FieldElement) -> Poly:
     """Monic minimal polynomial m of a over Q, from its characteristic
     polynomial chi = m^(d / deg m) without factoring: the roots of m carry
@@ -690,9 +695,7 @@ def trace_on_infinity(field: NumberField, v) -> float:
 
 def is_in_inverse_different(a: FieldElement) -> bool:
     """Tr(a * Z[alpha]) inside Z, checked exactly on the power basis."""
-    return all(
-        absolute_trace(a * bj).denominator == 1 for bj in a.field.power_basis()
-    )
+    return all(q.denominator == 1 for q in dual_vector(a))
 
 
 def is_in_power_order(a: FieldElement) -> bool:

@@ -243,7 +243,12 @@ class Session:
             raise SessionError(f"malformed session file: {exc}") from None
         if not isinstance(doc, dict):
             raise SessionError("session file must hold a JSON object")
-        return cls.from_json(doc)
+        try:
+            return cls.from_json(doc)
+        except KeyError as exc:
+            raise SessionError(f"malformed session file: missing entry {exc}") from None
+        except TypeError as exc:
+            raise SessionError(f"malformed session file: {exc}") from None
 
     @classmethod
     def load(cls, path: str) -> "Session":

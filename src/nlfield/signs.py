@@ -20,7 +20,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
-from . import coeffs
 from .algebra import AlgebraElement
 from .errors import SignlessError, UndecidedNumericallyError
 from .intervals import Ball
@@ -271,12 +270,12 @@ def check_graded_dirichlet_law(f: AlgebraElement, g: AlgebraElement) -> dict:
                 {"sign": v.serialize(), "lhs": repr(lhs_c), "rhs": repr(rhs_c)}
             )
     d0 = h.constant
-    t = coeffs.to_complex
-    printed = t(f.trace()) * t(g.trace()) - t(f.constant) * t(g.constant)
+    printed = (complex(f.trace()) * complex(g.trace())
+               - complex(f.constant) * complex(g.constant))
     return {
         "check": "graded_dirichlet_law",
         "component_mismatches": mismatches,
         "matches": not mismatches,
-        "d0_rule": t(d0),
+        "d0_rule": complex(d0),
         "d0_printed_formula": printed,
     }

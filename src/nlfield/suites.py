@@ -271,12 +271,8 @@ _RUNNERS = {
 }
 
 
-_ALIASES = {"flows": "galois"}
-
-
 def run_suite(name: str, seed: int = 0, samples: int = 5) -> dict:
     """Run one suite (or "all"); returns a JSON-ready report."""
-    name = _ALIASES.get(name, name)
     if name == "all":
         names = list(SUITES)
     elif name in _RUNNERS:

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlfield.algebra import AlgebraElement, monomial
-from nlfield.coeffs import EXACT, GaussRat
+from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.errors import NotProjectivizableError
 from nlfield.numberfield import quadratic_field, rationals
 
@@ -111,6 +111,53 @@ def test_projectivize_normalizes_trace():
     p = f.projectivize()
     assert p.representative.trace() == GaussRat(Fraction(1))
     assert p == f.scale(GaussRat(Fraction(7, 2))).projectivize()
+
+
+exact_scalars = st.tuples(
+    st.fractions(-20, 20, max_denominator=30), st.fractions(-20, 20, max_denominator=30)
+).map(lambda p: GaussRat(*p)).filter(bool)
+complex_parts = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+complex_scalars = st.builds(complex, complex_parts, complex_parts).filter(
+    lambda z: abs(z) > 0.1)
+
+
+def rand_approx(draw_terms):
+    Q = rationals()
+    return AlgebraElement(Q, APPROX, {Q.from_rational(n): c for n, c in draw_terms})
+
+
+@given(term_lists, exact_scalars)
+@settings(max_examples=80, deadline=None)
+def test_exact_class_is_scale_invariant(ta, lam):
+    f = rand_alg(ta)
+    assume(f.trace())
+    p, q = f.projectivize(), f.scale(lam).projectivize()
+    assert p == q and hash(p) == hash(q)
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), complex_scalars), min_size=1, max_size=5),
+       complex_scalars)
+@settings(max_examples=80, deadline=None)
+def test_approx_class_is_scale_invariant(ta, lam):
+    f = rand_approx(ta)
+    # a trace far below the coefficients amplifies rounding past any fixed tolerance
+    assume(f.terms and abs(f.trace()) > max(map(abs, f.terms.values())) / 4)
+    p, q = f.projectivize(), f.scale(lam).projectivize()
+    assert p == q and hash(p) == hash(q)
+
+
+@given(term_lists, st.integers(7, 12), st.sampled_from([EXACT, APPROX]))
+@settings(max_examples=80, deadline=None)
+def test_classes_with_different_supports_differ(ta, extra, mode):
+    f = rand_alg(ta)
+    if mode == APPROX:
+        f = rand_approx((i.as_rational(), complex(c)) for i, c in f.terms.items())
+    assume(f.trace())
+    # two new indices whose coefficients cancel: same trace, same shared coefficients
+    Q = rationals()
+    g = f + monomial(Q.from_rational(extra), 1, mode) - monomial(Q.from_rational(-extra), 1, mode)
+    p, q = f.projectivize(), g.projectivize()
+    assert p != q and q != p
 
 
 def test_projectivize_rejects_trace_zero():

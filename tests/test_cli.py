@@ -95,6 +95,16 @@ def test_dirichlet_csv_reads_any_rational(tmp_path, capsys):
     assert code == 2 and doc is None and "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", ["invert", "conv", "mellin"])
+def test_dirichlet_csv_row_without_real_part_exits_2(tmp_path, capsys, action):
+    src = tmp_path / "short.csv"
+    src.write_text("n,re,im\n1,1,0\n3\n")
+    extra = {"conv": ["--in2", str(src)], "mellin": ["--y", "0.5"]}.get(action, [])
+    code, doc, err = run(capsys, "dirichlet", action, "--in", str(src), "--N", "4", *extra)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_hardy_eval_ladder(tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     code, doc, _ = run(capsys, "hardy", "eval", "z^{1}", "--minpoly", "0,1",
@@ -104,6 +114,12 @@ def test_hardy_eval_ladder(tmp_path, capsys):
     assert [float(r["t"]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
 
 
+def test_hardy_eval_negative_ladder_exits_2(capsys):
+    code, doc, err = run(capsys, "hardy", "eval", "z^{1}", "--minpoly=0,1", "--ladder", "-1")
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "--ladder" in err and "Traceback" not in err
+
+
 def test_verify_exit_codes(capsys):
     code, doc, _ = run(capsys, "verify", "dirichlet", "--samples", "2")
     assert code == 0
@@ -111,6 +127,9 @@ def test_verify_exit_codes(capsys):
     code, doc, err = run(capsys, "verify", "nosuch")
     assert code == 2
     assert "unknown suite" in err
+    code, doc, err = run(capsys, "verify", "flows")
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "unknown suite" in err
 
 
 def test_config_error_exit_code(capsys):
@@ -233,6 +252,22 @@ def test_hand_edited_session_field_exits_2(tmp_path, capsys, field, message):
     assert code == 2 and doc is None
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+MALFORMED_SESSIONS = [
+    {"fields": {"K": {}}},
+    {"fields": {"K": 5}},
+    {"fields": {"K": {"minpoly": ["-2", "0", "1"]}}, "elements": {"e": {"field": "K"}}},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SESSIONS)
+def test_malformed_session_exits_2(tmp_path, capsys, doc):
+    sess = tmp_path / "s.json"
+    sess.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--session", str(sess), "field", "list")
+    assert code == 2 and out is None
+    assert err.startswith("error: malformed session file") and "Traceback" not in err
 
 
 def test_minpoly_coefficient_past_the_str_digit_limit(capsys):

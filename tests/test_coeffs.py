@@ -110,6 +110,13 @@ def test_equal_values_share_one_form(p, k):
 
 @given(gauss)
 @settings(max_examples=150, deadline=None)
+def test_number_protocol(q):
+    assert bool(q) == (not q.is_zero)
+    assert complex(q) == q.to_complex()
+
+
+@given(gauss)
+@settings(max_examples=150, deadline=None)
 def test_parts_round_trip(q):
     assert GaussRat(q.re, q.im) == q
     assert isinstance(q.re, Fraction) and isinstance(q.im, Fraction)

@@ -8,6 +8,7 @@ import pytest
 
 from nlfield.algebra import monomial
 from nlfield.coeffs import GaussRat
+from nlfield import hardy
 from nlfield.errors import BandwidthError
 from nlfield.hardy import (
     HyperPoint,
@@ -21,7 +22,7 @@ from nlfield.hardy import (
     series_eval_hyper,
     torus_inner_product,
 )
-from nlfield.numberfield import cyclotomic_field, quadratic_field, rationals
+from nlfield.numberfield import cyclotomic_field, dual_vector, quadratic_field, rationals
 
 
 def test_character_is_unimodular():
@@ -137,6 +138,29 @@ def test_bandwidth_guard():
         torus_inner_product(
             monomial(Q.from_rational(10)), monomial(Q.from_rational(10)), 12
         )
+
+
+def test_inverse_different_checked_before_bandwidth():
+    Q = rationals()
+    f = monomial(Q.from_rational(10))  # bandwidth 10 needs a grid of 21
+    g = monomial(Q.from_rational(Fraction(1, 2)))  # Tr(1/2) is not an integer
+    with pytest.raises(ValueError, match="inverse different"):
+        torus_inner_product(f, g, 4)
+
+
+def test_torus_pairs_each_index_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return dual_vector(a)
+
+    monkeypatch.setattr(hardy, "dual_vector", counted)
+    K = quadratic_field(2)
+    scale = K.gen.inverse() * K.from_rational(Fraction(1, 2))
+    f = monomial(K.one * scale) + monomial(K.gen * scale) + monomial(K.zero)
+    torus_inner_product(f, monomial(K.gen * scale), 16)
+    assert len(calls) == 4
 
 
 def test_parseval_on_a_small_series():

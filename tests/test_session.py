@@ -123,6 +123,16 @@ def test_malformed_text_rejected():
         Session.loads(json.dumps([1, 2, 3]))
 
 
+@pytest.mark.parametrize("doc", [
+    {"fields": {"K": {}}},
+    {"fields": {"K": 5}},
+    {"fields": {"K": {"minpoly": ["-2", "0", "1"]}}, "elements": {"e": {"field": "K"}}},
+])
+def test_missing_or_mistyped_entries_rejected(doc):
+    with pytest.raises(SessionError, match="malformed session file"):
+        Session.loads(json.dumps(doc))
+
+
 def test_terms_serialized_sorted_by_index():
     s = Session()
     Q = rationals()
