@@ -174,11 +174,14 @@ class ProjectiveClass:
     representative: AlgebraElement
 
     def __post_init__(self):
+        # equality reads the representative, so it must be the canonical one
         t = self.representative.trace()
         if self.representative.mode == EXACT:
-            assert t == coeffs.coerce(1, EXACT)
+            canonical = t == coeffs.coerce(1, EXACT)
         else:
-            assert abs(t - 1.0) < 1e-9
+            canonical = abs(t - 1.0) < 1e-9
+        if not canonical:
+            raise NotProjectivizableError(f"representative has trace {t!r}, not 1")
 
     def __eq__(self, other):
         if not isinstance(other, ProjectiveClass):

@@ -294,7 +294,7 @@ def cmd_hardy(ctx, args):
     field, fname = _resolve_field(ctx, args)
     if args.action == "eval":
         f = parse_algebra(args.expr, field)
-        if args.ladder:
+        if args.ladder is not None:
             if args.ladder < 0:
                 raise SystemExit2(f"--ladder needs K >= 0, got {args.ladder}")
             rows = []

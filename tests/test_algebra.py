@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlfield.algebra import AlgebraElement, monomial
+from nlfield.algebra import AlgebraElement, ProjectiveClass, monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.errors import NotProjectivizableError
 from nlfield.numberfield import quadratic_field, rationals
@@ -158,6 +158,14 @@ def test_classes_with_different_supports_differ(ta, extra, mode):
     g = f + monomial(Q.from_rational(extra), 1, mode) - monomial(Q.from_rational(-extra), 1, mode)
     p, q = f.projectivize(), g.projectivize()
     assert p != q and q != p
+
+
+@pytest.mark.parametrize("mode", [EXACT, APPROX])
+def test_class_needs_a_trace_one_representative(mode):
+    f = monomial(rationals().one, 2, mode)
+    with pytest.raises(NotProjectivizableError):
+        ProjectiveClass(f)
+    assert ProjectiveClass(f.scale(Fraction(1, 2))) == f.projectivize()
 
 
 def test_projectivize_rejects_trace_zero():

@@ -114,6 +114,13 @@ def test_hardy_eval_ladder(tmp_path, capsys):
     assert [float(r["t"]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
 
 
+def test_hardy_eval_ladder_of_one_rung(capsys):
+    code, doc, _ = run(capsys, "hardy", "eval", "z^{1}", "--minpoly=0,1", "--ladder", "0",
+                       "--t", "0.5")
+    assert code == 0
+    assert [row["t"] for row in doc["ladder"]] == [1.0]
+
+
 def test_hardy_eval_negative_ladder_exits_2(capsys):
     code, doc, err = run(capsys, "hardy", "eval", "z^{1}", "--minpoly=0,1", "--ladder", "-1")
     assert code == 2 and doc is None
