@@ -13,8 +13,17 @@ the change first in odd ones, so drift on the host falls on both sides
 alike.
 
 The output file holds every run's end-to-end metrics (those listed in
-BENCHMARK.json), each side's median and quartiles per metric, and per
-metric the number of pairs in which the change is strictly better.
+BENCHMARK.json), each side's median and quartiles per metric, per
+metric the number of pairs in which the change is strictly better, and
+per metric a verdict against the metric's bound in BENCHMARK.json:
+
+    worse         the change median is worse than the parent's by more
+                  than the bound (relative to the parent median)
+    unresolved    the parent's IQR exceeds the bound times its median,
+                  and not every change run beats every parent run
+    better        the change wins at least 9 in 10 pairs and its median
+                  is better by more than the parent's IQR
+    within bound  every other case
 """
 
 import argparse
@@ -61,6 +70,22 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def _verdict(parent: list[float], change: list[float], direction: str, bound: float,
+             wins: int) -> str:
+    """One metric's verdict, as the module docstring defines it."""
+    sign = 1 if direction == "lower" else -1  # sign * (p - c) > 0: the change is better
+    p, c = _summary(parent), _summary(change)
+    scale = abs(p["median"]) or 1.0
+    if sign * (c["median"] - p["median"]) > bound * scale:
+        return "worse"
+    beats_all = all(sign * (pv - cv) > 0 for pv in parent for cv in change)
+    if p["iqr"] > bound * scale and not beats_all:
+        return "unresolved"
+    if 10 * wins >= 9 * len(change) and sign * (p["median"] - c["median"]) > p["iqr"]:
+        return "better"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -73,6 +98,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     base = _git("rev-parse", args.base)
     runs = {"parent": [], "change": []}
@@ -96,12 +122,14 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp)
 
-    summary, wins = {}, {}
+    summary, wins, verdict = {}, {}, {}
     for name, direction in better.items():
         sides = {s: [r["metrics"][name] for r in runs[s]] for s in runs}
         summary[name] = {s: _summary(v) for s, v in sides.items()}
         sign = 1 if direction == "lower" else -1
         wins[name] = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        verdict[name] = _verdict(sides["parent"], sides["change"], direction, bounds[name],
+                                 wins[name])
     doc = {
         "workload": args.workload, "seconds": seconds, "pairs": len(runs["change"]),
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
@@ -109,7 +137,8 @@ def main(argv=None) -> int:
         "parent": base, "change": _git("rev-parse", "HEAD"),
         "change_dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
-        "better": better, "summary": summary, "change_wins": wins, "runs": runs,
+        "better": better, "bounds": bounds, "summary": summary, "change_wins": wins,
+        "verdict": verdict, "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -118,7 +147,7 @@ def main(argv=None) -> int:
         s = summary[name]
         print(f"{name:12s} parent {s['parent']['median']:.4g} (iqr {s['parent']['iqr']:.3g})"
               f"  change {s['change']['median']:.4g} (iqr {s['change']['iqr']:.3g})"
-              f"  change wins {wins[name]}/{doc['pairs']}")
+              f"  change wins {wins[name]}/{doc['pairs']}  {verdict[name]}")
     return 0
 
 

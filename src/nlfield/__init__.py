@@ -16,7 +16,6 @@ from .galois import (
     flow_phi,
     flow_psi,
     group_from_family,
-    group_from_images,
     make_automorphism,
     relative_trace,
     verify_nonlinear_automorphism,

@@ -502,10 +502,7 @@ def main(argv=None) -> int:
             raise SystemExit2(f"{' '.join(action)} needs {' and '.join(missing)}")
         ctx = _Ctx(args)
         return args.func(ctx, args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NlfieldError, ValueError, ArithmeticError, OSError) as exc:
+    except (SystemExit2, NlfieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

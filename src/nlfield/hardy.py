@@ -28,7 +28,7 @@ from .numberfield import (
     embed_vector,
     trace_on_infinity,
 )
-from .signs import GradedDecomposition, grade, quadrant, sign_of
+from .signs import grade, quadrant, sign_of
 
 EPS = 2.0 ** -52
 
@@ -119,16 +119,13 @@ def c_inverse(e_exp: int) -> complex:
     return 1j ** (-e_exp % 4)
 
 
-def series_eval_hyper(
-    f: AlgebraElement, p: HyperPoint, graded: GradedDecomposition | None = None
-) -> EvalResult:
+def series_eval_hyper(f: AlgebraElement, p: HyperPoint) -> EvalResult:
     """Evaluate a finitely supported series at a hyperbolization point,
     component by component with the component's own conjugation."""
     r, s = f.field.signature
     if len(p.reals) != r or len(p.complexes) != s:
         raise FieldMismatchError("point shape does not match the field signature")
-    if graded is None:
-        graded = grade(f)
+    graded = grade(f)
     total = complex(graded.constant)
     bound = 2 * EPS
     for v, part in graded.components.items():

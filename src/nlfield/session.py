@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .coeffs import APPROX, EXACT, GaussRat
 from .errors import SessionError
-from .galois import GaloisGroup, group_from_images
+from .galois import Automorphism, GaloisGroup
 from .numberfield import FieldElement, NumberField, define_field
 from .polys import Poly
 
@@ -129,11 +129,10 @@ def group_to_json(group: GaloisGroup, field_name: str) -> dict:
 
 
 def group_from_json(doc: dict, field: NumberField) -> GaloisGroup:
-    images = [
-        field.element([rat_from_str(c) for c in coords])
+    return GaloisGroup(field, [
+        Automorphism(field, field.element([rat_from_str(c) for c in coords]))
         for coords in doc["images"]
-    ]
-    return group_from_images(field, images)
+    ])
 
 
 class Session:

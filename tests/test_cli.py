@@ -297,12 +297,30 @@ def _groups(*groups, max_size=3):
         lambda gs: [arg for g in gs for arg in g])
 
 
-_FIELD_OPTS = _groups(
+_FIELD_GROUPS = [
     *(["--quadratic", n] for n in ["2", "-1", "-7", "0", "1", "4", "x", ""]),
     *(["--cyclotomic", n] for n in ["4", "5", "8", "1", "2", "0", "-3", "100"]),
     *(["--minpoly", p] for p in ["0,1", "1,0,1", "-2,0,1", "1,0,2", "0,0,1", "1", "", ",",
                                  "a,b", "1/0,1", "-1/2,0,1"]),
-    ["--field", "K"], ["--field", "nope"], max_size=2)
+    ["--field", "K"], ["--field", "nope"]]
+_FIELD_OPTS = _groups(*_FIELD_GROUPS, max_size=2)
+
+_GALOIS_GROUPS = [
+    *(["--family", f] for f in ["quadratic", "cyclotomic(4)", "cyclotomic(x)", "bogus"]),
+    *(["--image", e] for e in ["-a", "a^3", "z", ""]),
+    *(["--samples", n] for n in ["2", "0", "-1"]),
+    *(["--kmax", n] for n in ["3", "1", "-2"]),
+    *(["--r", r] for r in ["0.5", "0.5,0.25", "x", ""]),
+    ["--kind", "psi"], ["--expr", "z^{1}"], ["--expr", "z^{"]]
+
+_HARDY_GROUPS = [
+    ["--t", "0.5"], ["--t", "0"], ["--t", "-1"], ["--t", "nan"], ["--x", "inf"],
+    ["--ladder", "3"], ["--ladder", "-1"], ["--grid", "8"], ["--grid", "0"],
+    ["--height", "1"], ["--height", "-1"]]
+
+
+def _global_groups(out_path):
+    return [["--json"], ["--precision", "3"], ["--session", out_path + ".session"]]
 
 _EXPRS = st.one_of(st.sampled_from([
     "a", "1+a", "(1+a)^2", "a^-1", "1/a", "a/0", "1/0", "0", "0^-1", "2^100",
@@ -319,8 +337,7 @@ def cli_argv(draw, csv_paths, out_path):
     def one(*xs):
         return draw(st.sampled_from(xs))
 
-    argv = draw(_groups(["--json"], ["--precision", "3"], ["--session", out_path + ".session"],
-                        max_size=2))
+    argv = draw(_groups(*_global_groups(out_path), max_size=2))
     field = draw(_FIELD_OPTS)
     cmd = one("field", "elem", "alg", "galois", "dirichlet", "hardy", "session")
     if cmd == "field":
@@ -331,13 +348,8 @@ def cli_argv(draw, csv_paths, out_path):
         rest = [one("cauchy", "dirichlet", "trace", "grade", "proj")] + draw(
             st.lists(_EXPRS, min_size=1, max_size=2)) + field + one([], ["--approx"])
     elif cmd == "galois":
-        rest = [one("group", "verify", "trace-collapse", "flow")] + field + draw(_groups(
-            *(["--family", f] for f in ["quadratic", "cyclotomic(4)", "cyclotomic(x)", "bogus"]),
-            *(["--image", e] for e in ["-a", "a^3", "z", ""]),
-            *(["--samples", n] for n in ["2", "0", "-1"]),
-            *(["--kmax", n] for n in ["3", "1", "-2"]),
-            *(["--r", r] for r in ["0.5", "0.5,0.25", "x", ""]),
-            ["--kind", "psi"], ["--expr", "z^{1}"], ["--expr", "z^{"], max_size=4))
+        rest = [one("group", "verify", "trace-collapse", "flow")] + field + draw(
+            _groups(*_GALOIS_GROUPS, max_size=4))
     elif cmd == "dirichlet":
         rest = [one("conv", "invert", "mellin"), "--in", one(*csv_paths),
                 "--N", one("12", "1", "0", "-3", "x")] + draw(_groups(
@@ -345,10 +357,7 @@ def cli_argv(draw, csv_paths, out_path):
                     ["--out", out_path + ".csv"]))
     elif cmd == "hardy":
         action = one("eval", "norm", "ortho")
-        opts = draw(_groups(
-            ["--t", "0.5"], ["--t", "0"], ["--t", "-1"], ["--t", "nan"], ["--x", "inf"],
-            ["--ladder", "3"], ["--ladder", "-1"], ["--grid", "8"], ["--grid", "0"],
-            ["--height", "1"], ["--height", "-1"], ["--out", out_path + ".ladder.csv"]))
+        opts = draw(_groups(*_HARDY_GROUPS, ["--out", out_path + ".ladder.csv"]))
         if action == "ortho" and "--grid" not in opts:
             opts += ["--grid", "8", "--height", "1"]  # the default grid is slow
         rest = [action] + draw(st.lists(_EXPRS, max_size=1)) + field + opts
@@ -358,7 +367,7 @@ def cli_argv(draw, csv_paths, out_path):
     return argv + [cmd] + rest
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture  # fresh per test: "session save" may overwrite ok.csv
 def fuzz_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     rows = {"ok.csv": "n,re,im\n1,1,0\n2,-1,0\n3,1/2,1\n",
@@ -372,6 +381,17 @@ def fuzz_files(tmp_path_factory):
     return [str(d / name) for name in rows] + [str(d / "missing.csv")], str(d / "out")
 
 
+def _exit_code(argv):
+    """main's exit code on argv (argparse usage errors included) and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
 def test_exit_code_contract_fuzz(fuzz_files):
     """Any argv exits 0, 1 or 2 and never prints a traceback."""
     csv_paths, out_path = fuzz_files
@@ -379,13 +399,49 @@ def test_exit_code_contract_fuzz(fuzz_files):
     @given(cli_argv(csv_paths, out_path))
     @settings(max_examples=300, deadline=5000, derandomize=True)
     def check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
+        code, err = _exit_code(argv)
         assert code in (0, 1, 2), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
+        assert "Traceback" not in err, argv
 
     check()
+
+
+def test_exit_code_contract_option_sweep(fuzz_files):
+    """Every option value that cli_argv draws from, appended one at a time
+    to a working argv of each action, exits 0, 1 or 2 without a traceback.
+    The working field is Q(i) by --cyclotomic, the option _resolve_field
+    reads last, so each appended field option is the one that takes effect."""
+    csv_paths, out_path = fuzz_files
+    ok_csv, field = csv_paths[0], ["--cyclotomic", "4"]
+    dirichlet_groups = [*(["--in", p] for p in csv_paths), *(["--in2", p] for p in csv_paths),
+                        *(["--N", n] for n in ["12", "1", "0", "-3", "x"]),
+                        ["--y", "0.5,1"], ["--y", "x"], ["--y", ""], ["--out", out_path + ".csv"]]
+    working = [(["field", "new"] + field, _FIELD_GROUPS + [["--name", "K"]]),
+               (["field", "list"], [])]
+    working += [(["elem", a, "1+a"] + field, _FIELD_GROUPS)
+                for a in ["eval", "trace", "minpoly", "sign", "cone"]]
+    working += [(["alg", a, "z^{1}", "z^{0}+2*z^{a}"] + field, _FIELD_GROUPS + [["--approx"]])
+                for a in ["cauchy", "dirichlet"]]
+    working += [(["alg", a, "z^{0}+2*z^{a}"] + field, _FIELD_GROUPS + [["--approx"]])
+                for a in ["trace", "grade", "proj"]]
+    working += [(["galois"] + a + field, _FIELD_GROUPS + _GALOIS_GROUPS)
+                for a in [["group", "--family", "cyclotomic(4)"], ["verify", "--image=-a"],
+                          ["trace-collapse", "--kmax", "3"],
+                          ["flow", "--r", "0.5", "--expr", "z^{1}"]]]
+    working += [(["dirichlet", a, "--in", ok_csv, "--N", "12"] + extra, dirichlet_groups)
+                for a, extra in [("conv", ["--in2", ok_csv]), ("invert", []),
+                                 ("mellin", ["--y", "0.5,1"])]]
+    working += [(["hardy", a, "z^{1}"] + field + extra,
+                 _FIELD_GROUPS + _HARDY_GROUPS + [["--out", out_path + ".ladder.csv"]])
+                for a, extra in [("eval", []), ("norm", []),
+                                 ("ortho", ["--grid", "8", "--height", "1"])]]
+    working += [(["session", "save", out_path + ".saved"], []),
+                (["session", "load", out_path + ".saved"], [])]
+    for argv, groups in working:
+        code, err = _exit_code(argv)
+        assert code == 0, (argv, err)
+        variants = [argv + g for g in groups] + [g + argv for g in _global_groups(out_path)]
+        for variant in variants:
+            code, err = _exit_code(variant)
+            assert code in (0, 1, 2), (variant, code)
+            assert "Traceback" not in err, variant

@@ -1,8 +1,12 @@
 """Galois groups, algebra actions, towers, traces, and flows."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +14,12 @@ from hypothesis import strategies as st
 
 from nlfield.algebra import AlgebraElement, monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
+from nlfield.cli import main
 from nlfield.errors import NotAnAutomorphismError
 from nlfield.galois import (
+    Automorphism,
     FlowParameter,
+    GaloisGroup,
     TowerEmbedding,
     _random_exact_element,
     cyclotomic_trace_collapse,
@@ -28,6 +35,7 @@ from nlfield.galois import (
 from nlfield.hardy import l2_norm
 from nlfield.numberfield import absolute_trace, cyclotomic_field, quadratic_field
 from nlfield.polys import Poly
+from nlfield.session import Session
 
 
 def test_not_an_automorphism_rejected():
@@ -230,3 +238,59 @@ def test_embed_element_matrix_matches_horner(coords):
     tower = TowerEmbedding(K, L, L.gen + L.gen ** 7)
     got = tower.embed_element(K.element(coords)).coords
     assert got == _horner_mod(coords, tower.generator_image, L.minpoly)
+
+
+# -- group validation against a brute-force closure oracle -----------
+
+
+def _closed(images):
+    """Whether the maps a -> image are closed under composition, by
+    substituting one image into the coordinate polynomial of another."""
+    present = set(images)
+    for u in images:
+        for v in images:
+            composite = u.field.zero
+            for k, c in enumerate(v.coords):
+                composite = composite + u.field.from_rational(c) * u ** k
+            if composite not in present:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_group_accepts_exactly_the_closed_subsets(n):
+    K = cyclotomic_field(n)
+    elements = group_from_family(K, f"cyclotomic({n})").elements
+    assert len(elements) == 4
+    for size in range(1, 5):
+        for subset in combinations(elements, size):
+            images = [s.image for s in subset]
+            if _closed(images):
+                assert GaloisGroup(K, list(subset)).order == size
+            else:
+                with pytest.raises(NotAnAutomorphismError):
+                    GaloisGroup(K, list(subset))
+
+
+def test_group_rejects_empty_and_repeated_elements():
+    K = cyclotomic_field(8)
+    e, s3 = identity_automorphism(K), Automorphism(K, K.gen ** 3)
+    assert GaloisGroup(K, [e, s3]).order == 2  # the subgroup {1, sigma_3}
+    for elements in ([], [e, e], [e, s3, s3], [e, s3, Automorphism(K, K.gen ** 3)]):
+        with pytest.raises(NotAnAutomorphismError):
+            GaloisGroup(K, elements)
+
+
+def test_session_with_an_unclosed_group_exits_2(tmp_path):
+    sess = Session()
+    sess.add_field("K", cyclotomic_field(5))
+    sess.add_group("G", group_from_family(sess.get_field("K"), "cyclotomic(5)"))
+    doc = json.loads(sess.dumps())
+    doc["groups"]["G"]["images"] = doc["groups"]["G"]["images"][:3]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--session", str(path), "field", "list"])
+    assert code == 2
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
