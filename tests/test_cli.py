@@ -407,10 +407,11 @@ def test_exit_code_contract_fuzz(fuzz_files):
 
 
 def test_exit_code_contract_option_sweep(fuzz_files):
-    """Every option value that cli_argv draws from, appended one at a time
-    to a working argv of each action, exits 0, 1 or 2 without a traceback.
-    The working field is Q(i) by --cyclotomic, the option _resolve_field
-    reads last, so each appended field option is the one that takes effect."""
+    """Every option value that cli_argv draws from, added one at a time to
+    a working argv of each action (global options before the subcommand,
+    the rest after), exits 0, 1 or 2 without a traceback.  The working
+    field is Q(i) by --cyclotomic, the option _resolve_field reads last,
+    so each added field option is the one that takes effect."""
     csv_paths, out_path = fuzz_files
     ok_csv, field = csv_paths[0], ["--cyclotomic", "4"]
     dirichlet_groups = [*(["--in", p] for p in csv_paths), *(["--in2", p] for p in csv_paths),
