@@ -21,6 +21,17 @@ from .errors import (
 )
 from .numberfield import FieldElement, NumberField
 
+_new = object.__new__
+
+
+def _element(field: NumberField, mode: str, terms: dict) -> "AlgebraElement":
+    """An element from terms already checked against field and mode, as the
+    output of an operation on elements is: only the zero coefficients drop."""
+    out = _new(AlgebraElement)
+    out.field, out.mode = field, mode
+    out.terms = {i: c for i, c in terms.items() if c}
+    return out
+
 
 class AlgebraElement:
     __slots__ = ("field", "mode", "terms")
@@ -86,21 +97,17 @@ class AlgebraElement:
         out = dict(self.terms)
         for idx, c in other.terms.items():
             out[idx] = out.get(idx, coeffs.zero(self.mode)) + c
-        return AlgebraElement(self.field, self.mode, out)
+        return _element(self.field, self.mode, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.field, self.mode, {i: -c for i, c in self.terms.items()}
-        )
+        return _element(self.field, self.mode, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, scalar) -> "AlgebraElement":
         s = coeffs.coerce(scalar, self.mode)
-        return AlgebraElement(
-            self.field, self.mode, {i: c * s for i, c in self.terms.items()}
-        )
+        return _element(self.field, self.mode, {i: c * s for i, c in self.terms.items()})
 
     # -- the two products --------------------------------------------
 
@@ -113,7 +120,7 @@ class AlgebraElement:
             for i2, c2 in other.terms.items():
                 idx = i1 + i2
                 out[idx] = out.get(idx, zero) + c1 * c2
-        return AlgebraElement(self.field, self.mode, out)
+        return _element(self.field, self.mode, out)
 
     def dirichlet(self, other: "AlgebraElement") -> "AlgebraElement":
         """Dirichlet product: multiplicative convolution of nonzero indices,
@@ -141,7 +148,7 @@ class AlgebraElement:
         d0 = a0 * sum_b + b0 * sum_a + a0 * b0
         if d0:
             out[zero_idx] = out.get(zero_idx, zero) + d0
-        return AlgebraElement(self.field, self.mode, out)
+        return _element(self.field, self.mode, out)
 
     # -- trace, ideal, projectivization ------------------------------
 

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from . import coeffs
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _element
 from .coeffs import EXACT
 from .errors import NotInvertibleError
 from .numberfield import rationals
@@ -121,9 +121,7 @@ def from_algebra(f: AlgebraElement, N: int) -> IntegerSeries:
 
 def to_algebra(s: IntegerSeries) -> AlgebraElement:
     Q = rationals()
-    return AlgebraElement(
-        Q, s.mode, {Q.from_rational(n): s[n] for n in s.support()}
-    )
+    return _element(Q, s.mode, {Q.from_rational(n): s[n] for n in s.support()})
 
 
 def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:

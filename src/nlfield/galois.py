@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import coeffs
-from .algebra import AlgebraElement, monomial
+from .algebra import AlgebraElement, _element, monomial
 from .errors import FieldMismatchError, NotAnAutomorphismError
 from .numberfield import (
     FieldElement,
@@ -162,9 +162,7 @@ def apply_to_algebra(sigma: Automorphism, f: AlgebraElement) -> AlgebraElement:
     """Reindex by sigma; coefficients are untouched."""
     if f.field != sigma.field:
         raise NotAnAutomorphismError("automorphism of a different field")
-    return AlgebraElement(
-        f.field, f.mode, {sigma.apply(i): c for i, c in f.terms.items()}
-    )
+    return _element(f.field, f.mode, {sigma.apply(i): c for i, c in f.terms.items()})
 
 
 def _random_exact_element(field: NumberField, rng, nterms=4, height=5):
@@ -348,7 +346,7 @@ def _phase_flow(f: AlgebraElement, phase) -> AlgebraElement:
     for idx, c in f.terms.items():
         tr = phase(idx)
         out[idx] = complex(c) if tr is None else complex(c) * cmath.exp(2j * math.pi * tr)
-    return AlgebraElement(f.field, coeffs.APPROX, out)
+    return _element(f.field, coeffs.APPROX, out)
 
 
 def flow_phi(r: FlowParameter, f: AlgebraElement) -> AlgebraElement:

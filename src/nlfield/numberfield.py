@@ -27,12 +27,8 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, partial
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul, ne
-
-import mpmath
-import sympy
-from sympy.abc import x as _sym_x, y as _sym_y
 
 from .errors import (
     NotMonicError,
@@ -62,14 +58,11 @@ def refine(decide, cap: Fraction = DEFAULT_WIDTH_CAP):
 
 
 def _to_sympoly(p: Poly):
+    import sympy  # only define_field's factoring needs it
     return sympy.Poly.from_list(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-        _sym_x,
+        sympy.Symbol("x"),
     )
-
-
-def _from_sympoly(sp) -> Poly:
-    return Poly([Fraction(c.p, c.q) for c in reversed(sp.all_coeffs())])
 
 
 def _bits(width: Fraction) -> int:
@@ -175,11 +168,38 @@ class Place:
 
 
 def _real_part_resultant(p: Poly) -> list[int]:
-    """The squarefree part q of Res_x(p(x), p(y - x)) in Z[y], lowest first:
-    its roots are the sums of two roots of p, 2 Re z among them for each root z."""
-    e = _to_sympoly(p).as_expr()
-    q = sympy.Poly(sympy.resultant(e, e.subs(_sym_x, _sym_y - _sym_x), _sym_x), _sym_y)
-    return [int(c) for c in reversed(q.sqf_part().clear_denoms(convert=True)[1].all_coeffs())]
+    """The squarefree part of E(y) = prod_(i<j) (y - a_i - a_j) over the
+    roots a_i of p, primitive in Z[y], lowest first: 2 Re z = z + conj(z)
+    is a root for each non-real root z.  As in Bostan, Flajolet, Salvy and
+    Schost, "Fast computation of special resultants" (J. Symbolic Comput.
+    41, 2006), E comes from power sums: with P_k those of p (by Newton's
+    identities, c_k the coefficient of x^(n-k)), S_k = sum_m C(k, m) P_m
+    P_(k-m) sums (a_i + a_j)^k over ordered pairs, so E has the power sums
+    (S_k - 2^k P_k) / 2.  The last of E's Sturm sequence is gcd(E, E')."""
+    n, big = p.degree, p.degree * (p.degree - 1) // 2
+    c = [int(q) if q.denominator == 1 else q for q in p.coeffs[::-1]] + [0] * big
+    sums = [n]
+    for k in range(1, big + 1):  # P_k = -(c_1 P_(k-1) + ... + c_(k-1) P_1 + k c_k)
+        sums.append(-sum(map(mul, c[1:k], reversed(sums))) - k * c[k])
+    e = _monic_from_power_sums([
+        Fraction(sum(comb(k, m) * sums[m] * sums[k - m] for m in range(k + 1))
+                 - 2**k * sums[k], 2) for k in range(1, big + 1)])
+    # a monic polynomial over its least common denominator is primitive
+    e = _over_common_denominator(e)[0]
+    g = _sturm_sequence(e)[-1]
+    content = gcd(*g) if g[-1] > 0 else -gcd(*g)
+    return _exact_quotient(e, [u // content for u in g])
+
+
+def _exact_quotient(a, b) -> list[int]:
+    """a / b for integer polynomials (lowest first) where b divides a in Z[x]."""
+    a, k, quo = list(a), len(b) - 1, []
+    for i in range(len(a) - 1, k - 1, -1):
+        quo.append(q := a[i] // b[-1])
+        for j, v in enumerate(b, i - k):
+            a[j] -= q * v
+    assert not any(a), "the divisor leaves a remainder"
+    return quo[::-1]
 
 
 def _compare_real_parts(u: Place, v: Place, sturm, width: Fraction) -> int | None:
@@ -207,6 +227,7 @@ def root_enclosures(p: Poly) -> list[Place]:
     until the inclusion disks of its approximations, centred on the 2^-prec
     grid, are pairwise disjoint.  An approximation whose disk meets R is
     moved onto R first, so that a real root gets a disk symmetric about R."""
+    import mpmath  # loaded by the first isolation, not by `import nlfield`
     coeffs = _over_common_denominator(p.coeffs)[0]
     n = p.degree
 
@@ -595,7 +616,8 @@ def define_field(minpoly: Poly) -> NumberField:
 
     Irreducibility is proved exactly: degree 1 always holds, x^2 + bx + c
     splits over Q iff its discriminant b^2 - 4c is the square of a
-    rational, and higher degrees go through sympy's factorisation."""
+    rational, a cyclotomic polynomial is irreducible by theorem, and every
+    other polynomial of degree >= 3 goes through sympy's factorisation."""
     if minpoly.is_zero or minpoly.degree < 1:
         raise ValueError("minimal polynomial must have degree >= 1")
     if not minpoly.is_monic:
@@ -610,11 +632,12 @@ def define_field(minpoly: Poly) -> NumberField:
             if num * num == disc.numerator and den * den == disc.denominator:
                 # the root (-b + sqrt(disc))/2 as the factor x - root
                 raise ReduciblePolynomialError(Poly([(b - Fraction(num, den)) / 2, 1]))
-    elif minpoly.degree > 2:
+    elif minpoly.degree > 2 and minpoly.coeffs not in map(_cyclotomic, range(3, 61)):
         _, factors = _to_sympoly(minpoly).factor_list()
         if len(factors) > 1 or factors[0][1] > 1:
             # a proper factor: a repeated one has lower degree than minpoly
-            raise ReduciblePolynomialError(_from_sympoly(factors[0][0].monic()))
+            factor = factors[0][0].monic().all_coeffs()
+            raise ReduciblePolynomialError(Poly([Fraction(c.p, c.q) for c in reversed(factor)]))
     return NumberField(minpoly)
 
 
@@ -686,10 +709,8 @@ def trace_on_infinity(field: NumberField, v) -> float:
     if len(v) != r + s:
         raise ValueError(f"expected {r} real + {s} complex coordinates")
     total = 0.0
-    for val in v[:r]:
-        total += float(val.real if isinstance(val, complex) else val)
-    for val in v[r:]:
-        total += 2.0 * complex(val).real
+    for j, val in enumerate(v):
+        total += (1.0 if j < r else 2.0) * complex(val).real
     return total
 
 
@@ -720,6 +741,19 @@ def quadratic_field(n: int) -> NumberField:
 
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> NumberField:
-    """Q(zeta_n), defined by the n-th cyclotomic polynomial."""
-    sp = sympy.Poly(sympy.cyclotomic_poly(n, _sym_x), _sym_x)
-    return define_field(_from_sympoly(sp))
+    """Q(zeta_n), defined by the n-th cyclotomic polynomial, which is built
+    in integers and which define_field knows to be irreducible."""
+    if not 1 <= n <= 60:  # phi(n) > MAX_DESK_DEGREE for every n > 60
+        raise ValueError(f"no cyclotomic field of order {n} within desk scale")
+    return define_field(Poly(_cyclotomic(n)))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial, lowest coefficient first: x^n - 1
+    divided exactly by Phi_e for each proper divisor e of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for e in range(1, n):
+        if n % e == 0:
+            p = _exact_quotient(p, _cyclotomic(e))
+    return tuple(p)

@@ -2,21 +2,14 @@
 
 Coefficients are stored lowest degree first, and the zero polynomial is
 the empty tuple.  A Poly is the value type of defining and minimal
-polynomials; its arithmetic is the reference that tests compare field
-arithmetic with.  Factoring from degree 3 is delegated to sympy.
+polynomials; its arithmetic is the reference for field arithmetic in tests.
+Only `define_field` factors one, through sympy, at degree >= 3 and not Phi_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-
-def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+from typing import Sequence
 
 
 class Poly:
@@ -25,7 +18,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")

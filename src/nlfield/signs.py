@@ -20,7 +20,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _element
 from .errors import SignlessError, UndecidedNumericallyError
 from .intervals import Ball
 from .numberfield import (
@@ -209,10 +209,8 @@ class GradedDecomposition:
     constant: object  # coefficient of the zero index
 
     def reassemble(self) -> AlgebraElement:
-        out = AlgebraElement(self.field, self.mode, {self.field.zero: self.constant})
-        for part in self.components.values():
-            out = out + part
-        return out
+        return sum(self.components.values(),
+                   AlgebraElement(self.field, self.mode, {self.field.zero: self.constant}))
 
 
 def grade(f: AlgebraElement) -> GradedDecomposition:
@@ -220,26 +218,17 @@ def grade(f: AlgebraElement) -> GradedDecomposition:
     Components are keyed lazily by the signs actually observed."""
     comps: dict = {}
     for idx, c in f.terms.items():
-        if idx.is_zero:
-            continue
-        v = sign_of(idx)
-        bucket = comps.setdefault(v, {})
-        bucket[idx] = c
+        if not idx.is_zero:
+            comps.setdefault(sign_of(idx), {})[idx] = c
     return GradedDecomposition(
-        f.field,
-        f.mode,
-        {v: AlgebraElement(f.field, f.mode, t) for v, t in comps.items()},
-        f.constant,
-    )
+        f.field, f.mode, {v: _element(f.field, f.mode, t) for v, t in comps.items()},
+        f.constant)
 
 
 def restrict(f: AlgebraElement, v: SignVector) -> AlgebraElement:
     """Sub-sum of terms whose index carries the sign vector v."""
-    return AlgebraElement(
-        f.field,
-        f.mode,
-        {i: c for i, c in f.terms.items() if not i.is_zero and sign_of(i) == v},
-    )
+    return _element(f.field, f.mode,
+                    {i: c for i, c in f.terms.items() if not i.is_zero and sign_of(i) == v})
 
 
 def check_graded_dirichlet_law(f: AlgebraElement, g: AlgebraElement) -> dict:
@@ -253,18 +242,17 @@ def check_graded_dirichlet_law(f: AlgebraElement, g: AlgebraElement) -> dict:
     gh = grade(h)
     gf, gg = grade(f), grade(g)
     rhs: dict = {}
+    zero = _element(f.field, f.mode, {})
     for v1, f1 in gf.components.items():
         for v2, g2 in gg.components.items():
             prod = f1.dirichlet(g2)
             for v in sign_vector_product(v1, v2):
                 part = restrict(prod, v)
-                if part.is_zero:
-                    continue
-                rhs[v] = rhs.get(v, AlgebraElement(f.field, f.mode, {})) + part
+                if not part.is_zero:
+                    rhs[v] = rhs.get(v, zero) + part
     mismatches = []
     for v in set(gh.components) | set(rhs):
-        lhs_c = gh.components.get(v, AlgebraElement(f.field, f.mode, {}))
-        rhs_c = rhs.get(v, AlgebraElement(f.field, f.mode, {}))
+        lhs_c, rhs_c = gh.components.get(v, zero), rhs.get(v, zero)
         if lhs_c != rhs_c:
             mismatches.append(
                 {"sign": v.serialize(), "lhs": repr(lhs_c), "rhs": repr(rhs_c)}

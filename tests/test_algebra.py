@@ -189,3 +189,36 @@ def test_quadratic_field_indices():
     g = monomial(K.one + K.gen)
     prod = f.dirichlet(g)
     assert list(prod.terms) == [K.gen * (K.one + K.gen)]
+
+
+# terms over Q(sqrt2): index coordinates and an integer coefficient; small
+# ranges, so that products collide on indices and cancel to zero
+quad_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3)),
+    min_size=0, max_size=4,
+)
+
+
+@given(quad_terms, quad_terms, st.sampled_from([EXACT, APPROX]), st.integers(-3, 3))
+@settings(max_examples=120, deadline=None)
+def test_operations_build_what_the_public_constructor_builds(ta, tb, mode, lam):
+    """Products, sums, negation and scaling skip the public constructor's
+    checks; their results must still equal its result on their own terms,
+    and the Cauchy product, the sum and the scaling its result on terms
+    computed here."""
+    K = quadratic_field(2)
+    f, g = (AlgebraElement(K, mode, {K.element(list(i)): c for i, c in t}) for t in (ta, tb))
+    kind = GaussRat if mode == EXACT else complex
+    cauchy, plus, scaled = {}, dict(f.terms), {}
+    for i, a in f.terms.items():
+        scaled[i] = a * kind(lam)
+        for j, b in g.terms.items():
+            cauchy[i + j] = cauchy.get(i + j, kind(0)) + a * b
+    for j, b in g.terms.items():
+        plus[j] = plus.get(j, kind(0)) + b
+    assert f.cauchy(g) == AlgebraElement(K, mode, cauchy)
+    assert f + g == AlgebraElement(K, mode, plus)
+    assert f.scale(lam) == AlgebraElement(K, mode, scaled)
+    for h in (f.cauchy(g), f.dirichlet(g), f + g, f - g, -f, f.scale(lam)):
+        assert h == AlgebraElement(K, mode, h.terms)
+        assert all(c and type(c) is kind for c in h.terms.values())

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -307,7 +310,7 @@ _FIELD_OPTS = _groups(*_FIELD_GROUPS, max_size=2)
 
 _GALOIS_GROUPS = [
     *(["--family", f] for f in ["quadratic", "cyclotomic(4)", "cyclotomic(x)", "bogus"]),
-    *(["--image", e] for e in ["-a", "a^3", "z", ""]),
+    ["--image=-a"], *(["--image", e] for e in ["a^3", "z", ""]),
     *(["--samples", n] for n in ["2", "0", "-1"]),
     *(["--kmax", n] for n in ["3", "1", "-2"]),
     *(["--r", r] for r in ["0.5", "0.5,0.25", "x", ""]),
@@ -446,3 +449,27 @@ def test_exit_code_contract_option_sweep(fuzz_files):
             code, err = _exit_code(variant)
             assert code in (0, 1, 2), (variant, code)
             assert "Traceback" not in err, variant
+
+
+_IMPORT_GATE = """
+import json, sys
+import nlfield.cli as cli
+loaded = lambda: [m for m in ("sympy", "numpy", "mpmath") if m in sys.modules]
+bare = loaded()
+codes = [cli.main(["--json", "elem", "sign", "1+a", "--quadratic", "2"]),
+         cli.main(["--json", "elem", "sign", "1+a", "--cyclotomic", "8"])]
+print(json.dumps({"bare": bare, "codes": codes, "after": loaded()}))
+"""
+
+
+def test_cli_runs_without_sympy_or_numpy():
+    """In a fresh interpreter, `import nlfield.cli` loads none of sympy,
+    numpy and mpmath, and a command over Q(sqrt2) and one over Q(zeta_8),
+    which isolate roots through mpmath, load neither sympy nor numpy."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GATE], env=env,
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc == {"bare": [], "codes": [0, 0], "after": ["mpmath"]}

@@ -1,13 +1,15 @@
 """Characters, hyperbolic evaluation, the positive cone, quadrature."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from nlfield.algebra import monomial
-from nlfield.coeffs import GaussRat
+from nlfield.algebra import AlgebraElement, monomial
+from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield import hardy
 from nlfield.errors import BandwidthError
 from nlfield.hardy import (
@@ -22,7 +24,13 @@ from nlfield.hardy import (
     series_eval_hyper,
     torus_inner_product,
 )
-from nlfield.numberfield import cyclotomic_field, dual_vector, quadratic_field, rationals
+from nlfield.numberfield import (
+    cyclotomic_field,
+    dual_vector,
+    poly_at,
+    quadratic_field,
+    rationals,
+)
 
 
 def test_character_is_unimodular():
@@ -170,3 +178,76 @@ def test_parseval_on_a_small_series():
     )
     ip = torus_inner_product(f, f, 16)
     assert abs(ip.value - l2_norm(f) ** 2) < 1e-10
+
+
+def _grid_sum(f, g, grid):
+    """(1/grid^d) sum over the grid points x of f(x) conj(g(x)), with
+    f(x) conj(g(x)) expanded into a_n conj(b_m) e((n - m).x) and every term
+    of every point kept: the roots of unity come from cmath, indexed by the
+    exact integer (n - m).x mod grid, and fsum adds the terms exactly."""
+    unit = [cmath.exp(2j * math.pi * k / grid) for k in range(grid)]
+
+    def spectrum(h):
+        return [([int(q) for q in dual_vector(i)], complex(c)) for i, c in h.terms.items()]
+    terms = [a * b.conjugate() * unit[sum((p - q) * k for p, q, k in zip(n, m, x)) % grid]
+             for x in itertools.product(range(grid), repeat=f.field.degree)
+             for n, a in spectrum(f) for m, b in spectrum(g)]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms)) / grid ** f.field.degree
+
+
+def test_torus_closed_form_matches_the_grid_sum():
+    """Seeded trigonometric polynomials over Q, Q(sqrt2) and Q(i), indices
+    in the inverse different (1/p'(a)) Z[a], at grids 2 band + 1 to
+    2 band + 4.  The coefficients have parts in {0, +-1/2, +-1}, so that
+    the grid sum's own rounding stays below the 1e-15 slack of the bound
+    check."""
+    rng = random.Random(1515)
+    checked = 0
+    for K in (rationals(), quadratic_field(2), cyclotomic_field(4)):
+        scale = poly_at(K.minpoly.derivative(), K.gen).inverse()
+        for mode in (EXACT, APPROX) * 6:
+            def draw():
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    idx = K.element([rng.randint(-2, 2) for _ in range(K.degree)]) * scale
+                    c = GaussRat(Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 2))
+                    terms[idx] = c if mode == EXACT else complex(c)
+                return AlgebraElement(K, mode, terms)
+            f, g = draw(), draw()
+            band = max((abs(int(q)) for h in (f, g) for i in h.terms for q in dual_vector(i)),
+                       default=0)
+            for grid in range(2 * band + 1, 2 * band + 5):
+                got = torus_inner_product(f, g, grid)
+                diff = abs(got.value - _grid_sum(f, g, grid))
+                assert diff < 1e-12
+                assert got.bound >= diff - 1e-15
+                checked += 1
+    assert checked == 3 * 12 * 4
+
+
+def test_torus_bound_covers_its_rounding():
+    """The closed form is an exact sum rounded once to a complex float;
+    `bound` must cover that rounding, checked here in exact arithmetic on
+    coefficients whose products do not round to themselves."""
+    rng = random.Random(15)
+    K = quadratic_field(2)
+    scale = poly_at(K.minpoly.derivative(), K.gen).inverse()
+    rounded = 0
+    for mode in (EXACT, APPROX) * 20:
+        f, g = (AlgebraElement(K, mode, {
+            K.element([rng.randint(-1, 1), rng.randint(-1, 1)]) * scale:
+            GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            for _ in range(3)}) for _ in range(2))
+        got = torus_inner_product(f, g, 3)
+        exact = GaussRat()
+        for i, a in f.terms.items():
+            for j, b in g.terms.items():
+                if dual_vector(i) == dual_vector(j):
+                    a, b = (GaussRat(c.real, c.imag) if mode == APPROX else c for c in (a, b))
+                    exact = exact + a * b.conjugate()
+        err2 = (Fraction(got.value.real) - exact.re) ** 2 + (Fraction(got.value.imag) - exact.im) ** 2
+        assert err2 <= Fraction(got.bound) ** 2
+        rounded += err2 > 0
+    assert rounded > 10

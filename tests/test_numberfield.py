@@ -88,6 +88,32 @@ def test_low_degrees_need_no_sympy(monkeypatch):
         define_field(Poly([-4, 0, 1]))
 
 
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_polynomials_match_sympy(n):
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+    assert list(numberfield._cyclotomic(n)) == want
+
+
+def test_cyclotomic_fields_need_no_sympy(monkeypatch):
+    """Phi_n is irreducible by theorem, so define_field factors none of
+    those within desk scale, by whichever route it is given."""
+    def no_sympy(p):
+        raise AssertionError("define_field called sympy")
+    monkeypatch.setattr(numberfield, "_to_sympoly", no_sympy)
+    degrees = {}
+    for n in range(1, 61):
+        phi = numberfield._cyclotomic(n)
+        if len(phi) - 1 <= numberfield.MAX_DESK_DEGREE:
+            assert define_field(Poly(phi)).degree == len(phi) - 1
+            assert cyclotomic_field.__wrapped__(n).minpoly == Poly(phi)
+            degrees[n] = len(phi) - 1
+    assert degrees == {n: sympy.totient(n) for n in range(1, 61) if sympy.totient(n) <= 16}
+    for n in (0, -3, 61, 10**6 + 3):
+        with pytest.raises(ValueError):
+            cyclotomic_field(n)
+
+
 def test_signatures():
     assert quadratic_field(2).signature == (2, 0)
     assert quadratic_field(-1).signature == (0, 1)

@@ -6,6 +6,7 @@ reproduce them exactly.  The property test checks the enclosures against
 50-digit roots and sympy's real-root count.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -383,3 +384,36 @@ def test_isolate_roots_encloses_every_root(coeffs):
             assert box.width <= width
             assert q.isolating.re.lo <= box.re.lo and box.re.hi <= q.isolating.re.hi
             assert q.isolating.im.lo <= box.im.lo and box.im.hi <= q.isolating.im.hi
+
+
+# -- the tie proof's pair-sum polynomial ------------------------------------
+
+_X, _Y = sympy.symbols("x y")
+
+
+@pytest.mark.parametrize("coeffs", [
+    [100, 120, 84, 52, 24, 6, 1],  # deg6: a tie at real part -1.6299...
+    [1, 0, 3, 0, 1],  # x^4 + 3x^2 + 1: ties at real part 0
+    [1, 0, -1, 0, 1],  # Phi_12
+    # prod_{j=1..4} (x^2 + 3j) + 1: four places with real part 0
+    [int(c) for c in sympy.Poly(sympy.prod([_X**2 + 3 * j for j in range(1, 5)]) + 1,
+                                _X).all_coeffs()[::-1]],
+])
+def test_real_part_resultant_holds_the_pair_sums(coeffs):
+    """The squarefree prod_(i<j) (y - a_i - a_j) divides sympy's squarefree
+    Res_x(p(x), p(y - x)), which adds the roots 2 a_i, and vanishes at every
+    sum of two distinct roots, so at 2 Re z for every non-real root z."""
+    q = numberfield._real_part_resultant(Poly(coeffs))
+    assert all(isinstance(c, int) for c in q) and q[-1] > 0 and math.gcd(*q) == 1
+    qy = sympy.Poly(q[::-1], _Y)
+    assert sympy.gcd(qy, qy.diff(_Y)).degree() == 0  # squarefree
+    e = sympy.Poly(coeffs[::-1], _X).as_expr()
+    res = sympy.Poly(sympy.resultant(e, e.subs(_X, _Y - _X), _X), _Y).sqf_part()
+    assert res.rem(qy).is_zero
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=300)
+        for i, a in enumerate(roots):
+            for b in roots[i + 1:]:
+                s = a + b
+                scale = sum(abs(c) * abs(s) ** k for k, c in enumerate(q))
+                assert abs(mpmath.polyval(q[::-1], s)) <= mpmath.mpf(10) ** -40 * scale
