@@ -205,7 +205,7 @@ def torus_inner_product(f: AlgebraElement, g: AlgebraElement, grid: int) -> Eval
     f = sum a_n e(n.x) and g = sum b_m e(m.x) over dual vectors n, m,
     discrete orthogonality makes it sum over n = m (mod grid) of
     a_n conj(b_m), which a grid of at least 2 band + 1 reduces to n = m.
-    That sum is formed exactly; `bound` covers its rounding to a complex."""
+    That sum is formed exactly; `bound` covers its one rounding to floats."""
     f._check(g)
     spectra = ({}, {})
     for h, spectrum in zip((f, g), spectra):
