@@ -158,11 +158,11 @@ class AlgebraElement:
             t = t + c
         return t
 
-    def is_in_ideal(self, tol: float = 1e-12) -> bool:
+    def is_in_ideal(self) -> bool:
         t = self.trace()
         if self.mode == EXACT:
             return not t
-        return abs(t) <= tol
+        return abs(t) <= 1e-12
 
     def projectivize(self) -> "ProjectiveClass":
         t = self.trace()

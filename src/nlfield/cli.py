@@ -47,8 +47,6 @@ from .suites import run_suite
 class _Ctx:
     def __init__(self, args):
         self.args = args
-        self.tol = 10.0 ** -args.precision
-        self.session_path = args.session
         if args.session:
             try:
                 self.session = Session.load(args.session)
@@ -58,8 +56,8 @@ class _Ctx:
             self.session = Session()
 
     def persist(self):
-        if self.session_path:
-            self.session.save(self.session_path)
+        if self.args.session:
+            self.session.save(self.args.session)
 
     def emit(self, report: dict, summary: str) -> None:
         print(json.dumps(report, sort_keys=True, default=str))
@@ -78,19 +76,15 @@ def _add_field_opts(p):
 
 
 def _resolve_field(ctx: _Ctx, args):
-    if args.field:
+    if args.field is not None:
         return ctx.session.get_field(args.field), args.field
-    if args.minpoly:
+    if args.minpoly is not None:
         return define_field(Poly(map(rat_from_str, args.minpoly.split(",")))), None
-    if args.quadratic:
+    if args.quadratic is not None:
         return quadratic_field(args.quadratic), None
-    if args.cyclotomic:
+    if args.cyclotomic is not None:
         return cyclotomic_field(args.cyclotomic), None
-    raise SystemExit2("no field given: use --field/--minpoly/--quadratic/--cyclotomic")
-
-
-class SystemExit2(Exception):
-    """Configuration error mapped to exit code 2."""
+    raise NlfieldError("no field given: use --field/--minpoly/--quadratic/--cyclotomic")
 
 
 def _field_label(field, name):
@@ -102,18 +96,25 @@ def _field_label(field, name):
 
 def _read_series(path: str, N: int) -> dmod.IntegerSeries:
     vals = [0] * N
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip() == "n":
-                continue
-            if len(row) < 2:
-                raise SystemExit2(f"CSV row {row[0]!r} has no real part")
-            n = int(row[0])
-            re = rat_from_str(row[1])
-            im = rat_from_str(row[2]) if len(row) > 2 and row[2] else 0
-            if not 1 <= n <= N:
-                raise SystemExit2(f"coefficient index {n} outside 1..{N}")
-            vals[n - 1] = GaussRat(re, im)
+    # a rational may have any length: lift csv's process-wide field limit
+    # for this read only
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    finally:
+        csv.field_size_limit(limit)
+    for row in rows:
+        if not row or row[0].strip() == "n":
+            continue
+        if len(row) < 2:
+            raise NlfieldError(f"CSV row {row[0]!r} has no real part")
+        n = int(row[0])
+        re = rat_from_str(row[1])
+        im = rat_from_str(row[2]) if len(row) > 2 and row[2] else 0
+        if not 1 <= n <= N:
+            raise NlfieldError(f"coefficient index {n} outside 1..{N}")
+        vals[n - 1] = GaussRat(re, im)
     return dmod.IntegerSeries(N, vals)
 
 
@@ -240,7 +241,7 @@ def cmd_galois(ctx, args):
         return 0
     if args.action == "verify":
         if not args.image and args.family is None:
-            raise SystemExit2("galois verify needs --family or --image")
+            raise NlfieldError("galois verify needs --family or --image")
         if args.image:
             sigmas = [make_automorphism(field, parse_element(args.image, field))]
         else:
@@ -255,15 +256,13 @@ def cmd_galois(ctx, args):
                  f"{len(reports)} automorphisms checked: "
                  + ("pass" if passed else "FAIL"))
         return 0 if passed else 1
-    if args.action == "flow":
-        r = FlowParameter.of(field, [complex(v) for v in args.r.split(",")])
-        f = parse_algebra(args.expr, field, APPROX)
-        out = flow_phi(r, f) if args.kind == "phi" else flow_psi(r, f)
-        doc = smod.algebra_to_json(out, label)
-        ctx.emit({"command": "galois flow", "kind": args.kind, "result": doc},
-                 f"{len(out.terms)} terms after {args.kind} flow")
-        return 0
-    raise SystemExit2(f"unknown galois action {args.action!r}")
+    r = FlowParameter.of(field, [complex(v) for v in args.r.split(",")])
+    f = parse_algebra(args.expr, field, APPROX)
+    out = flow_phi(r, f) if args.kind == "phi" else flow_psi(r, f)
+    doc = smod.algebra_to_json(out, label)
+    ctx.emit({"command": "galois flow", "kind": args.kind, "result": doc},
+             f"{len(out.terms)} terms after {args.kind} flow")
+    return 0
 
 
 def cmd_dirichlet(ctx, args):
@@ -296,7 +295,7 @@ def cmd_hardy(ctx, args):
         f = parse_algebra(args.expr, field)
         if args.ladder is not None:
             if args.ladder < 0:
-                raise SystemExit2(f"--ladder needs K >= 0, got {args.ladder}")
+                raise NlfieldError(f"--ladder needs K >= 0, got {args.ladder}")
             rows = []
             for k in range(args.ladder + 1):
                 t = 2.0 ** -k
@@ -331,37 +330,32 @@ def cmd_hardy(ctx, args):
             f"l2 norm {hardy.l2_norm(f)}",
         )
         return 0
-    if args.action == "ortho":
-        dp = field.minpoly.derivative()
-        scale = poly_at(dp, field.gen).inverse()
-        d = field.degree
-        chars = []
-        for coords in itertools.product(range(-args.height, args.height + 1), repeat=d):
-            alpha = field.element(list(coords)) * scale
-            if is_in_inverse_different(alpha):
-                chars.append(alpha)
-        worst = 0.0
-        for a in chars:
-            for b in chars:
-                ip = hardy.torus_inner_product(monomial(a), monomial(b), args.grid)
-                want = 1.0 if a == b else 0.0
-                worst = max(worst, abs(ip.value - want))
-        passed = worst < ctx.tol
-        ctx.emit(
-            {"command": "hardy ortho", "characters": len(chars),
-             "grid": args.grid, "max_deviation": worst, "passed": passed},
-            f"{len(chars)} characters, max deviation {worst:.2e}: "
-            + ("pass" if passed else "FAIL"),
-        )
-        return 0 if passed else 1
-    raise SystemExit2(f"unknown hardy action {args.action!r}")
+    dp = field.minpoly.derivative()
+    scale = poly_at(dp, field.gen).inverse()
+    d = field.degree
+    chars = []
+    for coords in itertools.product(range(-args.height, args.height + 1), repeat=d):
+        alpha = field.element(list(coords)) * scale
+        if is_in_inverse_different(alpha):
+            chars.append(alpha)
+    worst = 0.0
+    for a in chars:
+        for b in chars:
+            ip = hardy.torus_inner_product(monomial(a), monomial(b), args.grid)
+            want = 1.0 if a == b else 0.0
+            worst = max(worst, abs(ip.value - want))
+    passed = worst == 0
+    ctx.emit(
+        {"command": "hardy ortho", "characters": len(chars),
+         "grid": args.grid, "max_deviation": worst, "passed": passed},
+        f"{len(chars)} characters, max deviation {worst:.2e}: "
+        + ("pass" if passed else "FAIL"),
+    )
+    return 0 if passed else 1
 
 
 def cmd_verify(ctx, args):
-    try:
-        rep = run_suite(args.suite, seed=ctx.args.seed, samples=args.samples)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    rep = run_suite(args.suite, seed=ctx.args.seed, samples=args.samples)
     lines = [
         ("PASS " if c["passed"] else "FAIL ") + f"{c['suite']}: {c['name']}"
         for c in rep["checks"]
@@ -371,9 +365,9 @@ def cmd_verify(ctx, args):
 
 
 def cmd_session(ctx, args):
-    path = args.path or ctx.session_path
+    path = args.path or args.session
     if not path:
-        raise SystemExit2("no path: give one or use --session")
+        raise NlfieldError("no path: give one or use --session")
     if args.action == "save":
         ctx.session.save(path)
         ctx.emit({"command": "session save", "path": path},
@@ -399,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact number-field algebra with two products, sign "
         "gradings, Galois actions, flows, and Dirichlet series",
     )
-    ap.add_argument("--precision", type=int, default=9,
-                    help="working tolerance 10^-precision for float checks")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", action="store_true",
                     help="machine output only (suppress the stderr summary)")
@@ -499,10 +491,10 @@ def main(argv=None) -> int:
         action = (args.command, getattr(args, "action", None))
         missing = [o for o in _REQUIRED.get(action, ()) if getattr(args, o.lstrip("-")) is None]
         if missing:
-            raise SystemExit2(f"{' '.join(action)} needs {' and '.join(missing)}")
+            raise NlfieldError(f"{' '.join(action)} needs {' and '.join(missing)}")
         ctx = _Ctx(args)
         return args.func(ctx, args)
-    except (SystemExit2, NlfieldError, ValueError, ArithmeticError, OSError) as exc:
+    except (NlfieldError, ValueError, ArithmeticError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -107,16 +107,13 @@ class GaloisGroup:
         # Distinct and closed suffices: each sigma's powers stay in the
         # finite set, so one of them is the identity and the one before
         # it is sigma's inverse; composition of maps is associative.
-        index = {sig.image: i for i, sig in enumerate(self.elements)}
-        if not index or len(index) != len(self.elements):
+        images = {sig.image for sig in self.elements}
+        if not images or len(images) != len(self.elements):
             raise NotAnAutomorphismError("group elements must be nonempty and distinct")
-        self.table = {}
-        for i, si in enumerate(self.elements):
-            for j, sj in enumerate(self.elements):
-                k = index.get(si.compose(sj).image)
-                if k is None:
+        for si in self.elements:
+            for sj in self.elements:
+                if si.compose(sj).image not in images:
                     raise NotAnAutomorphismError("group not closed under composition")
-                self.table[(i, j)] = k
 
     @property
     def order(self) -> int:

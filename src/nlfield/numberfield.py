@@ -31,6 +31,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul, ne
 
 from .errors import (
+    FieldMismatchError,
     NotMonicError,
     ReduciblePolynomialError,
     UndecidedNumericallyError,
@@ -117,16 +118,11 @@ class Place:
     Complex places of a field store the representative root with positive
     imaginary part; the conjugate embedding is obtained by reflection."""
 
-    def __init__(self, coeffs: tuple, isolating: Ball, kind: str):
-        assert kind in ("real", "complex")
-        self.kind = kind
+    def __init__(self, coeffs: tuple, isolating: Ball):
+        self.is_real = isolating.real
         self.isolating = isolating
         self._coeffs = coeffs  # integer multiple of the polynomial, lowest first
         self._box = isolating  # the finest ball so far, centred on the 2^-k grid
-
-    @property
-    def is_real(self) -> bool:
-        return self.kind == "real"
 
     def box(self, width: Fraction) -> Ball:
         """Certified ball of width <= width around the root, whose square
@@ -164,7 +160,7 @@ class Place:
         return b.x, b.y, b.den.bit_length() - 1
 
     def __repr__(self):
-        return f"Place({self.kind}, {self._box.mid})"
+        return f"Place({'real' if self.is_real else 'complex'}, {self._box.mid})"
 
 
 def _real_part_resultant(p: Poly) -> list[int]:
@@ -251,12 +247,11 @@ def root_enclosures(p: Poly) -> list[Place]:
             for i, u in enumerate(disks) for v in disks[i + 1:]
         ):
             return None
-        return [Place(coeffs, Ball(re, im, s, 1 << prec, im == 0), "complex" if im else "real")
+        return [Place(coeffs, Ball(re, im, s, 1 << prec, im == 0))
                 for re, im, s in sorted(disks, key=lambda d: (d[1] != 0, d[0]))]
 
     places = refine(separated)
-    return places + [Place(coeffs, q.isolating.conjugate(), "complex")
-                     for q in places if not q.is_real]
+    return places + [Place(coeffs, q.isolating.conjugate()) for q in places if not q.is_real]
 
 
 def isolate_roots(p: Poly) -> list[Place]:
@@ -463,8 +458,6 @@ class FieldElement:
 
     def _check(self, other: "FieldElement"):
         if self.field != other.field:
-            from .errors import FieldMismatchError
-
             raise FieldMismatchError("elements belong to different fields")
 
     def __add__(self, other) -> "FieldElement":
@@ -689,16 +682,16 @@ def embed(a: FieldElement, place: Place, width: Fraction = DEFAULT_START_WIDTH) 
         root_w = root_w * root_w
 
 
-def embed_value(a: FieldElement, place: Place, width=Fraction(1, 2**70)) -> complex:
+def embed_value(a: FieldElement, place: Place) -> complex:
     """Float approximation of the embedding: the correctly rounded midpoint
-    of a certified ball."""
-    return embed(a, place, width).mid
+    of a certified ball of width 2^-70."""
+    return embed(a, place, Fraction(1, 2**70)).mid
 
 
-def embed_vector(a: FieldElement, width=Fraction(1, 2**70)) -> list[complex]:
+def embed_vector(a: FieldElement) -> list[complex]:
     """Image of a under the diagonal embedding into K_oo, one entry per
     real place followed by one per complex pair representative."""
-    return [embed_value(a, p, width) for p in a.field.places]
+    return [embed_value(a, p) for p in a.field.places]
 
 
 def trace_on_infinity(field: NumberField, v) -> float:

@@ -225,9 +225,18 @@ class _Parser:
         )
 
 
+def _shallow(walk, *args):
+    """walk(*args), a recursive walk of an expression; a tree deeper than
+    the interpreter's recursion limit raises ParseError."""
+    try:
+        return walk(*args)
+    except RecursionError:
+        raise ParseError("expression tree too deep") from None
+
+
 def parse_expression(src: str):
     """Source text to AST; raises ParseError with position info."""
-    return _Parser(src).parse()
+    return _shallow(_Parser(src).parse)
 
 
 # -- evaluation: field elements --------------------------------------
@@ -264,7 +273,7 @@ def eval_element(node, field: NumberField) -> FieldElement:
 
 
 def parse_element(src: str, field: NumberField) -> FieldElement:
-    return eval_element(parse_expression(src), field)
+    return _shallow(eval_element, parse_expression(src), field)
 
 
 # -- evaluation: algebra elements ------------------------------------
@@ -355,5 +364,5 @@ def _scalar_bits(v: GaussRat) -> int:
 
 
 def parse_algebra(src: str, field: NumberField, mode: str = EXACT) -> AlgebraElement:
-    value = eval_algebra(parse_expression(src), field, mode)
+    value = _shallow(eval_algebra, parse_expression(src), field, mode)
     return _promote(value, field, mode)

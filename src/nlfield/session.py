@@ -238,7 +238,7 @@ class Session:
     def loads(cls, text: str) -> "Session":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SessionError(f"malformed session file: {exc}") from None
         if not isinstance(doc, dict):
             raise SessionError("session file must hold a JSON object")

@@ -52,10 +52,6 @@ class ComplexSign:
         assert self.e in (0, 1, 2, 3)
 
     @property
-    def kind(self) -> str:
-        return "quadrant" if self.eps else "singular"
-
-    @property
     def name(self) -> str:
         return (_QUADRANT_NAMES if self.eps else _SINGULAR_NAMES)[self.e]
 

@@ -158,7 +158,7 @@ def _suite_hardy(rng, samples):
         for b in basis:
             ip = hardy.torus_inner_product(monomial(a), monomial(b), grid).value
             want = 1.0 if a == b else 0.0
-            ok &= abs(ip - want) < 1e-10
+            ok &= ip == want
     out.append(_check("torus characters orthonormal (Q, grid 16)", ok))
 
     try:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfield.cli import main
+from nlfield.cli import _read_series, main
+from nlfield.session import rat_to_str
 
 
 def run(capsys, *argv):
@@ -291,6 +292,84 @@ def test_minpoly_coefficient_past_the_str_digit_limit(capsys):
     assert "reducible" in err and "Exceeds" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["elem", "eval", "(" * 10000 + "1" + ")" * 10000, "--quadratic", "2"],
+    ["elem", "eval", "(" + "-" * 10000 + "1)", "--quadratic", "2"],
+    ["alg", "trace", "z^{" * 10000 + "1" + "}" * 10000, "--quadratic", "2"],
+    # a flat sum parses to a left-deep tree: the evaluation recurses
+    ["elem", "eval", "1+" * 10000 + "1", "--quadratic", "2"],
+    ["alg", "trace", "+".join(["z^{1}"] * 10000), "--quadratic", "2"],
+])
+def test_deep_nesting_exits_2(capsys, argv):
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.startswith("error: expression tree too deep") and "Traceback" not in err
+
+
+def test_moderate_nesting_evaluates(capsys):
+    code, doc, err = run(capsys, "elem", "eval", "(" * 200 + "1+a" + ")" * 200, "--quadratic", "2")
+    assert code == 0, err
+    assert doc["element"]["coords"] == ["1", "1"]
+
+
+def test_deeply_nested_session_file_exits_2(tmp_path, capsys):
+    sess = tmp_path / "s.json"
+    sess.write_text("[" * 2000 + "]" * 2000)
+    code, doc, err = run(capsys, "--session", str(sess), "field", "list")
+    assert code == 2 and doc is None
+    assert err.startswith("error: malformed session file") and "Traceback" not in err
+
+
+def test_dirichlet_csv_coefficient_past_the_csv_field_limit(tmp_path, capsys):
+    # 140,000 digits: past csv's default limit of 131,072 characters a field
+    digits = "7" * 140000
+    (tmp_path / "f.csv").write_text(f"n,re,im\n1,1,0\n2,{digits},0\n")
+    (tmp_path / "one.csv").write_text("n,re,im\n1,1,0\n")
+    out = tmp_path / "out.csv"
+    limit = csv.field_size_limit()
+    code, _, err = run(capsys, "dirichlet", "conv", "--in", str(tmp_path / "f.csv"),
+                       "--in2", str(tmp_path / "one.csv"), "--N", "3", "--out", str(out))
+    assert code == 0, err
+    assert csv.field_size_limit() == limit
+    back = _read_series(str(out), 3)
+    assert rat_to_str(back[2].re) == digits
+    assert back == _read_series(str(tmp_path / "f.csv"), 3)
+    assert csv.field_size_limit() == limit
+
+
+def test_dirichlet_csv_error_exits_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "f.csv").write_text("n,re,im\n1,1,0\n")
+    limit = csv.field_size_limit()
+
+    def broken(fh):
+        raise csv.Error("malformed CSV")
+
+    monkeypatch.setattr(csv, "reader", broken)
+    code, doc, err = run(capsys, "dirichlet", "invert", "--in", str(tmp_path / "f.csv"),
+                         "--N", "3")
+    assert code == 2 and doc is None
+    assert err == "error: malformed CSV\n"
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("opts, message", [
+    (["--quadratic", "0"], "reducible"),
+    (["--quadratic", "0", "--cyclotomic", "4"], "reducible"),
+    (["--cyclotomic", "0"], "within desk scale"),
+    (["--cyclotomic", "4", "--cyclotomic", "0"], "within desk scale"),
+])
+def test_zero_field_option_is_a_field_option(capsys, opts, message):
+    code, doc, err = run(capsys, "elem", "eval", "a", *opts)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_precision_option_is_gone():
+    code, err = _exit_code(["--precision", "3", "verify", "algebra"])
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 # -- exit-code contract on arbitrary argv --------------------------------
 
 
@@ -323,7 +402,7 @@ _HARDY_GROUPS = [
 
 
 def _global_groups(out_path):
-    return [["--json"], ["--precision", "3"], ["--session", out_path + ".session"]]
+    return [["--json"], ["--seed", "3"], ["--session", out_path + ".session"]]
 
 _EXPRS = st.one_of(st.sampled_from([
     "a", "1+a", "(1+a)^2", "a^-1", "1/a", "a/0", "1/0", "0", "0^-1", "2^100",

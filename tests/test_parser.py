@@ -71,6 +71,21 @@ def test_parse_errors_carry_position():
     assert err.value.position == 4
 
 
+def test_deep_trees_raise_parse_error():
+    K = quadratic_field(2)
+    deep = 10000
+    for src in ["(" * deep + "1" + ")" * deep, "-" * deep + "1",
+                "z^{" * deep + "1" + "}" * deep]:
+        with pytest.raises(ParseError, match="too deep"):
+            parse_expression(src)
+    # these parse in a loop to a left-deep tree, which evaluation recurses along
+    with pytest.raises(ParseError, match="too deep"):
+        parse_element("1+" * deep + "1", K)
+    with pytest.raises(ParseError, match="too deep"):
+        parse_algebra("+".join(["z^{1}"] * deep), K)
+    assert parse_element("(" * 200 + "1+a" + ")" * 200, K) == K.one + K.gen
+
+
 def test_division_by_zero_element():
     K = quadratic_field(2)
     with pytest.raises(ParseError):

@@ -123,6 +123,12 @@ def test_malformed_text_rejected():
         Session.loads(json.dumps([1, 2, 3]))
 
 
+def test_deeply_nested_text_rejected():
+    # json.loads recurses once per level of nesting
+    with pytest.raises(SessionError, match="malformed session file"):
+        Session.loads("[" * 2000 + "]" * 2000)
+
+
 @pytest.mark.parametrize("doc", [
     {"fields": {"K": {}}},
     {"fields": {"K": 5}},
