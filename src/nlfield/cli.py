@@ -96,8 +96,7 @@ def _field_label(field, name):
 
 def _read_series(path: str, N: int) -> dmod.IntegerSeries:
     vals = [0] * N
-    # a rational may have any length: lift csv's process-wide field limit
-    # for this read only
+    # rationals of any length: lift csv's process-wide field limit for this read
     limit = csv.field_size_limit(sys.maxsize)
     try:
         with open(path, newline="") as fh:

@@ -43,6 +43,8 @@ from .polys import Poly
 # the last width, until a width below the cap has failed.
 DEFAULT_START_WIDTH = Fraction(1, 2**53)
 DEFAULT_WIDTH_CAP = Fraction(1, 2**2000)
+# embed_value's width, built once: a new Fraction costs a quarter of a warm embed
+_EMBED_WIDTH = Fraction(1, 2**70)
 
 MAX_DESK_DEGREE = 16
 
@@ -685,7 +687,7 @@ def embed(a: FieldElement, place: Place, width: Fraction = DEFAULT_START_WIDTH) 
 def embed_value(a: FieldElement, place: Place) -> complex:
     """Float approximation of the embedding: the correctly rounded midpoint
     of a certified ball of width 2^-70."""
-    return embed(a, place, Fraction(1, 2**70)).mid
+    return embed(a, place, _EMBED_WIDTH).mid
 
 
 def embed_vector(a: FieldElement) -> list[complex]:
