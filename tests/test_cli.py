@@ -330,7 +330,6 @@ def test_dirichlet_csv_coefficient_past_the_csv_field_limit(tmp_path, capsys):
     code, _, err = run(capsys, "dirichlet", "conv", "--in", str(tmp_path / "f.csv"),
                        "--in2", str(tmp_path / "one.csv"), "--N", "3", "--out", str(out))
     assert code == 0, err
-    assert csv.field_size_limit() == limit
     back = _read_series(str(out), 3)
     assert rat_to_str(back[2].re) == digits
     assert back == _read_series(str(tmp_path / "f.csv"), 3)
