@@ -136,7 +136,10 @@ def main(argv=None) -> int:
                    f"--seconds {seconds:g}",
         "parent": base, "change": _git("rev-parse", "HEAD"),
         "change_dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
-        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
+        # where bytecode is not written, no run finds it cached, and each
+        # compiles the modules it imports inside its setup_s
+        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
+                 "bytecode_cache": not sys.flags.dont_write_bytecode},
         "better": better, "bounds": bounds, "summary": summary, "change_wins": wins,
         "verdict": verdict, "runs": runs,
     }

@@ -1,6 +1,7 @@
 """nlfield: exact number-field arithmetic, the two-product field
 algebra, sign gradings, analytic evaluation, Galois actions, and
-Dirichlet series, with a small CLI on top."""
+Dirichlet series, with a small CLI on top, whose layers (parser, session,
+suites) and their names load on first use."""
 
 from .algebra import AlgebraElement, ProjectiveClass, monomial
 from .coeffs import APPROX, EXACT, GaussRat
@@ -46,9 +47,7 @@ from .numberfield import (
     quadratic_field,
     rationals,
 )
-from .parser import parse_algebra, parse_element, parse_expression, print_ast
 from .polys import Poly
-from .session import Session
 from .signs import (
     ComplexSign,
     GradedDecomposition,
@@ -59,6 +58,20 @@ from .signs import (
     sign_of,
     sign_product,
 )
-from .suites import run_suite
 
 __version__ = "0.1.0"
+
+# no library module imports the CLI layers, so each layer and each name
+# it gives loads on first use
+_LAZY = {"parser": "parser", "parse_algebra": "parser", "parse_element": "parser",
+         "parse_expression": "parser", "print_ast": "parser",
+         "session": "session", "Session": "session", "suites": "suites", "run_suite": "suites"}
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{_LAZY[name]}", fromlist=[name])
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value

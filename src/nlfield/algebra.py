@@ -10,8 +10,6 @@ distribute over one another; T is multiplicative under both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import coeffs
 from .coeffs import APPROX, EXACT
 from .errors import (
@@ -31,6 +29,37 @@ def _element(field: NumberField, mode: str, terms: dict) -> "AlgebraElement":
     out.field, out.mode = field, mode
     out.terms = {i: c for i, c in terms.items() if c}
     return out
+
+
+class _Frozen:
+    """Base of the immutable value classes: equality by class and fields, a
+    hash of the field tuple, a Cls(f=...) repr, and assignment that raises,
+    as on Poly.  The fields are the parameters of a subclass's `__init__`,
+    which sets them with `_set`; it keeps their tuple for `==` and hash."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values), _values=values)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 class AlgebraElement:
@@ -171,24 +200,22 @@ class AlgebraElement:
         return ProjectiveClass(self.scale(coeffs.coerce(1, self.mode) / t))
 
 
-@dataclass(frozen=True)
-class ProjectiveClass:
+class ProjectiveClass(_Frozen):
     """A projective class represented by its trace-one element, which is
     canonical: two classes are equal iff their representatives are, exactly
     in exact mode and coefficientwise within 1e-12 * max(1, max|c|) in
     approx mode."""
 
-    representative: AlgebraElement
-
-    def __post_init__(self):
+    def __init__(self, representative: AlgebraElement):
         # equality reads the representative, so it must be the canonical one
-        t = self.representative.trace()
-        if self.representative.mode == EXACT:
+        t = representative.trace()
+        if representative.mode == EXACT:
             canonical = t == coeffs.coerce(1, EXACT)
         else:
             canonical = abs(t - 1.0) < 1e-9
         if not canonical:
             raise NotProjectivizableError(f"representative has trace {t!r}, not 1")
+        self._set(representative)
 
     def __eq__(self, other):
         if not isinstance(other, ProjectiveClass):

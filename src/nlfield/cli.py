@@ -47,13 +47,12 @@ from .suites import run_suite
 class _Ctx:
     def __init__(self, args):
         self.args = args
+        self.session, self.loaded = Session(), False
         if args.session:
             try:
-                self.session = Session.load(args.session)
+                self.session, self.loaded = Session.load(args.session), True
             except FileNotFoundError:
-                self.session = Session()
-        else:
-            self.session = Session()
+                pass
 
     def persist(self):
         if self.args.session:
@@ -372,12 +371,11 @@ def cmd_session(ctx, args):
         ctx.emit({"command": "session save", "path": path},
                  f"session written to {path}")
         return 0
-    doc = Session.load(path).to_json()
-    ctx.emit(
-        {"command": "session load", "path": path,
-         "counts": {k: len(v) for k, v in doc.items()}},
-        ", ".join(f"{len(v)} {k}" for k, v in doc.items()),
-    )
+    # the --session file is decoded already; a missing one raises here
+    sess = ctx.session if path == args.session and ctx.loaded else Session.load(path)
+    counts = {k: len(getattr(sess, k)) for k in smod._KINDS}
+    ctx.emit({"command": "session load", "path": path, "counts": counts},
+             ", ".join(f"{n} {k}" for k, n in counts.items()))
     return 0
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import coeffs
-from .algebra import AlgebraElement, _element, monomial
+from .algebra import AlgebraElement, _Frozen, _element, monomial
 from .errors import FieldMismatchError, NotAnAutomorphismError
 from .numberfield import (
     FieldElement,
@@ -98,22 +97,27 @@ def make_automorphism(field: NumberField, image: FieldElement) -> Automorphism:
     return Automorphism(field, image)
 
 
-@dataclass
 class GaloisGroup:
-    field: NumberField
-    elements: list
-
-    def __post_init__(self):
+    def __init__(self, field: NumberField, elements: list):
         # Distinct and closed suffices: each sigma's powers stay in the
         # finite set, so one of them is the identity and the one before
         # it is sigma's inverse; composition of maps is associative.
-        images = {sig.image for sig in self.elements}
-        if not images or len(images) != len(self.elements):
+        images = {sig.image for sig in elements}
+        if not images or len(images) != len(elements):
             raise NotAnAutomorphismError("group elements must be nonempty and distinct")
-        for si in self.elements:
-            for sj in self.elements:
+        for si in elements:
+            for sj in elements:
                 if si.compose(sj).image not in images:
                     raise NotAnAutomorphismError("group not closed under composition")
+        self.field, self.elements = field, elements
+
+    def __eq__(self, other):  # equal by fields, and so unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.elements) == (other.field, other.elements)
+
+    def __repr__(self):
+        return f"GaloisGroup(field={self.field!r}, elements={self.elements!r})"
 
     @property
     def order(self) -> int:
@@ -223,23 +227,20 @@ def verify_nonlinear_automorphism(sigma: Automorphism, samples: int = 100,
 # -- towers ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TowerEmbedding:
+class TowerEmbedding(_Frozen):
     """An inclusion of a base field into an extension, given by the
     image of the base generator; verified to satisfy the base minimal
     polynomial exactly."""
 
-    base: NumberField
-    extension: NumberField
-    generator_image: FieldElement
-
-    def __post_init__(self):
-        if self.generator_image.field != self.extension:
+    def __init__(self, base: NumberField, extension: NumberField,
+                 generator_image: FieldElement):
+        if generator_image.field != extension:
             raise NotAnAutomorphismError("image must live in the extension")
-        if not poly_at(self.base.minpoly, self.generator_image).is_zero:
+        if not poly_at(base.minpoly, generator_image).is_zero:
             raise NotAnAutomorphismError(
                 "image does not satisfy the base minimal polynomial"
             )
+        self._set(base, extension, generator_image)
 
     @cached_property
     def _matrix(self) -> PowerMap:
@@ -320,12 +321,12 @@ def cyclotomic_trace_collapse(k_max: int) -> dict:
 # -- flows -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowParameter:
+class FlowParameter(_Frozen):
     """A K-infinity vector: one real entry per real place, one complex
     entry per complex pair."""
 
-    coords: tuple
+    def __init__(self, coords: tuple):
+        self._set(coords)
 
     @staticmethod
     def of(field: NumberField, values) -> "FlowParameter":

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffs
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _Frozen
 from .coeffs import GaussRat
 from .errors import BandwidthError, FieldMismatchError
 from .numberfield import (
@@ -32,32 +31,28 @@ from .signs import grade, quadrant, sign_of
 EPS = 2.0 ** -52
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    bound: float
+class EvalResult(_Frozen):
+    def __init__(self, value: complex, bound: float):
+        self._set(value, bound)
 
     def __repr__(self):
         return f"EvalResult({self.value!r}, bound={self.bound:.3e})"
 
 
-@dataclass(frozen=True)
-class HyperPoint:
+class HyperPoint(_Frozen):
     """A point of the hyperbolization: one upper-half-plane coordinate
     tau per real place, one (z, b) pair per complex place with b in the
     open quarter plane Re b > 0, Im b > 0."""
 
-    reals: tuple
-    complexes: tuple
-
-    def __post_init__(self):
-        for tau in self.reals:
+    def __init__(self, reals: tuple, complexes: tuple):
+        for tau in reals:
             if not complex(tau).imag > 0:
                 raise ValueError("real-place coordinate must have Im > 0")
-        for _, b in self.complexes:
+        for _, b in complexes:
             b = complex(b)
             if not (b.real > 0 and b.imag > 0):
                 raise ValueError("quarter-plane coordinate must have Re, Im > 0")
+        self._set(reals, complexes)
 
     @staticmethod
     def uniform(field: NumberField, x=0.0, t=1.0) -> "HyperPoint":
@@ -69,17 +64,12 @@ class HyperPoint:
         )
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Frozen):
     """A point of the Minkowski torus in power-basis coordinates, each
     reduced to the fundamental domain [0, 1)."""
 
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) % 1 for c in self.coords)
-        )
+    def __init__(self, coords: tuple):
+        self._set(tuple(Fraction(c) % 1 for c in coords))
 
 
 def character_eval(alpha: FieldElement, z) -> EvalResult:

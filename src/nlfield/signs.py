@@ -17,10 +17,9 @@ with certified negative sign.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 
-from .algebra import AlgebraElement, _element
+from .algebra import AlgebraElement, _element, _Frozen
 from .errors import SignlessError, UndecidedNumericallyError
 from .intervals import Ball
 from .numberfield import (
@@ -40,16 +39,13 @@ _SINGULAR_NAMES = {0: "+", 1: "sqrt-", 2: "-", 3: "-sqrt-"}
 _QUADRANT_NAMES = {0: "+e", 1: "sqrt-e", 2: "-e", 3: "-sqrt-e"}
 
 
-@dataclass(frozen=True)
-class ComplexSign:
+class ComplexSign(_Frozen):
     """e is the exponent of the quarter turn (0..3); eps marks a quadrant
     sign, its absence a singular (axis) sign."""
 
-    e: int
-    eps: bool
-
-    def __post_init__(self):
-        assert self.e in (0, 1, 2, 3)
+    def __init__(self, e: int, eps: bool):
+        assert e in (0, 1, 2, 3)
+        self._set(e, eps)
 
     @property
     def name(self) -> str:
@@ -95,12 +91,20 @@ def sign_product(v1: ComplexSign, v2: ComplexSign) -> frozenset:
 # -- sign vectors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """One real sign (+1/-1) per real place, one ComplexSign per pair."""
+class SignVector(_Frozen):
+    """One real sign (+1/-1) per real place, one ComplexSign per pair.
+    Every uncached sign_of builds one, so its methods are written out."""
 
-    reals: tuple
-    complexes: tuple
+    def __init__(self, reals: tuple, complexes: tuple):
+        self.__dict__.update(reals=reals, complexes=complexes)
+
+    def __eq__(self, other):
+        if other.__class__ is not SignVector:
+            return NotImplemented
+        return self.reals == other.reals and self.complexes == other.complexes
+
+    def __hash__(self):
+        return hash((self.reals, self.complexes))
 
     def serialize(self) -> list[str]:
         return ["+" if r > 0 else "-" for r in self.reals] + [
@@ -197,12 +201,12 @@ def sign_of(alpha: FieldElement) -> SignVector:
 # -- graded decomposition --------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    field: NumberField
-    mode: str
-    components: dict  # SignVector -> AlgebraElement
-    constant: object  # coefficient of the zero index
+class GradedDecomposition(_Frozen):
+    """components maps SignVector -> AlgebraElement; constant is the
+    coefficient of the zero index."""
+
+    def __init__(self, field: NumberField, mode: str, components: dict, constant):
+        self._set(field, mode, components, constant)
 
     def reassemble(self) -> AlgebraElement:
         return sum(self.components.values(),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfield.cli import _read_series, main
-from nlfield.session import rat_to_str
+from nlfield.session import Session, rat_to_str
 
 
 def run(capsys, *argv):
@@ -250,6 +250,27 @@ def test_session_save_load_round_trip(tmp_path, capsys):
     code, doc, _ = run(capsys, "session", "load", other)
     assert code == 0
     assert doc["counts"]["fields"] == 1
+
+
+def test_session_load_decodes_the_session_file_once(tmp_path, capsys, monkeypatch):
+    sess = str(tmp_path / "s.json")
+    run(capsys, "--session", sess, "field", "new", "--name", "K", "--quadratic", "2")
+    run(capsys, "--session", sess, "elem", "eval", "1+a", "--field", "K", "--name", "e")
+    calls = []
+    loads = Session.loads.__func__
+    monkeypatch.setattr(Session, "loads",
+                        classmethod(lambda cls, text: calls.append(1) or loads(cls, text)))
+    code, doc, err = run(capsys, "--session", sess, "session", "load")
+    assert code == 0 and len(calls) == 1
+    assert doc == {"command": "session load", "path": sess,
+                   "counts": {"fields": 1, "elements": 1, "algebra": 0, "groups": 0}}
+    assert err == "1 fields, 1 elements, 0 algebra, 0 groups\n"
+    code, doc, _ = run(capsys, "session", "load", sess)
+    assert code == 0 and len(calls) == 2 and doc["counts"]["elements"] == 1
+    missing = str(tmp_path / "missing.json")
+    code, doc, err = run(capsys, "--session", missing, "session", "load")
+    assert code == 2 and doc is None
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 @pytest.mark.parametrize("field, message", [
@@ -551,3 +572,41 @@ def test_cli_runs_without_sympy_or_numpy():
                           capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc == {"bare": [], "codes": [0, 0], "after": ["mpmath"]}
+
+
+_IMPORT_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import nlfield
+added = set(sys.modules) - before
+import json
+out = {"layers": sorted(m for m in added if m.split(".")[-1] in
+                        ("parser", "session", "suites", "cli", "dataclasses", "json"))}
+try:
+    nlfield.no_such_name
+except AttributeError as exc:
+    out["missing"] = str(exc)
+out["same"] = nlfield.Session is nlfield.session.Session
+ns = {}
+exec("from nlfield import *", ns)
+out["tour"] = sorted(n for n in ("quadratic_field", "parse_element", "sign_of", "rationals",
+                                 "parse_algebra", "grade", "series_eval_hyper",
+                                 "HyperPoint", "dinvert", "IntegerSeries") if n not in ns)
+out["star"] = ns["parse_algebra"] is nlfield.parser.parse_algebra
+print(json.dumps(out))
+"""
+
+
+def test_import_loads_only_the_library():
+    """In a fresh interpreter, `import nlfield` loads no CLI layer and
+    neither dataclasses nor json; the CLI layers' names load on first use,
+    `from nlfield import *` binds every name of the README tour, and an
+    unknown name raises an AttributeError that names it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc == {"layers": [], "missing": "module 'nlfield' has no attribute 'no_such_name'",
+                   "same": True, "tour": [], "star": True}
