@@ -13,7 +13,8 @@ the change first in odd ones, so drift on the host falls on both sides
 alike.
 
 The output file holds every run's end-to-end metrics (those listed in
-BENCHMARK.json), each side's median and quartiles per metric, per
+BENCHMARK.json), the lines of src/nlfield/*.py in each tree
+(`src_lines`), each side's median and quartiles per metric, per
 metric the number of pairs in which the change is strictly better, and
 per metric a verdict against the metric's bound in BENCHMARK.json:
 
@@ -27,6 +28,7 @@ per metric a verdict against the metric's bound in BENCHMARK.json:
 """
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -50,6 +52,15 @@ def _seeds(spec: str) -> list[int]:
         lo, hi = map(int, spec.split("-"))
         return list(range(lo, hi + 1))
     return [int(s) for s in spec.split(",")]
+
+
+def _src_lines(tree: str) -> int:
+    """Lines of src/nlfield/*.py in a checkout, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "nlfield", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -112,6 +123,7 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
+        src_lines = {side: _src_lines(tree) for side, tree in trees.items()}
         for i, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -140,7 +152,7 @@ def main(argv=None) -> int:
         # compiles the modules it imports inside its setup_s
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
                  "bytecode_cache": not sys.flags.dont_write_bytecode},
-        "better": better, "bounds": bounds, "summary": summary, "change_wins": wins,
+        "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary, "change_wins": wins,
         "verdict": verdict, "runs": runs,
     }
     with open(args.out, "w") as fh:

@@ -18,6 +18,7 @@ from .errors import (
     NotProjectivizableError,
 )
 from .numberfield import FieldElement, NumberField
+from .polys import _Frozen
 
 _new = object.__new__
 
@@ -29,37 +30,6 @@ def _element(field: NumberField, mode: str, terms: dict) -> "AlgebraElement":
     out.field, out.mode = field, mode
     out.terms = {i: c for i, c in terms.items() if c}
     return out
-
-
-class _Frozen:
-    """Base of the immutable value classes: equality by class and fields, a
-    hash of the field tuple, a Cls(f=...) repr, and assignment that raises,
-    as on Poly.  The fields are the parameters of a subclass's `__init__`,
-    which sets them with `_set`; it keeps their tuple for `==` and hash."""
-
-    def __init_subclass__(cls):
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
-
-    def _set(self, *values):
-        self.__dict__.update(zip(self._fields, values), _values=values)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({args})"
 
 
 class AlgebraElement:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import coeffs
-from .algebra import AlgebraElement, _Frozen, _element, monomial
+from .algebra import AlgebraElement, _element, monomial
 from .errors import FieldMismatchError, NotAnAutomorphismError
 from .numberfield import (
     FieldElement,
@@ -31,22 +31,29 @@ from .numberfield import (
     poly_at,
     trace_on_infinity,
 )
+from .polys import _Frozen
 from .signs import sign_of
 
 
-class Automorphism:
+class Automorphism(_Frozen):
     """A field automorphism determined by the image of the generator."""
 
-    def __init__(self, field: NumberField, image: FieldElement, _checked=False):
+    def __init__(self, field: NumberField, image: FieldElement):
         if image.field != field:
             raise NotAnAutomorphismError("image lives in a different field")
         # p(image) = 0 with p irreducible makes p the minimal polynomial of image
-        if not _checked and not poly_at(field.minpoly, image).is_zero:
+        if not poly_at(field.minpoly, image).is_zero:
             raise NotAnAutomorphismError(
                 "generator image does not satisfy the defining polynomial"
             )
-        self.field = field
-        self.image = image
+        self._set(field, image)
+
+    @classmethod
+    def _of_root(cls, field: NumberField, image: FieldElement) -> "Automorphism":
+        """Unchecked: for an image of `field` that is a root by construction."""
+        sigma = object.__new__(cls)
+        sigma._set(field, image)
+        return sigma
 
     @cached_property
     def _matrix(self) -> PowerMap:
@@ -61,7 +68,7 @@ class Automorphism:
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
-        return Automorphism(self.field, self.apply(other.image), _checked=True)
+        return Automorphism._of_root(self.field, self.apply(other.image))
 
     @property
     def is_identity(self) -> bool:
@@ -75,29 +82,19 @@ class Automorphism:
             power = power.compose(self)
         raise NotAnAutomorphismError("order exceeds the field degree")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.field == other.field
-            and self.image == other.image
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.image))
-
     def __repr__(self):
         return f"Automorphism(a -> {list(self.image.coords)})"
 
 
 def identity_automorphism(field: NumberField) -> Automorphism:
-    return Automorphism(field, field.gen, _checked=True)
+    return Automorphism._of_root(field, field.gen)
 
 
 def make_automorphism(field: NumberField, image: FieldElement) -> Automorphism:
     return Automorphism(field, image)
 
 
-class GaloisGroup:
+class GaloisGroup(_Frozen):
     def __init__(self, field: NumberField, elements: list):
         # Distinct and closed suffices: each sigma's powers stay in the
         # finite set, so one of them is the identity and the one before
@@ -109,15 +106,7 @@ class GaloisGroup:
             for sj in elements:
                 if si.compose(sj).image not in images:
                     raise NotAnAutomorphismError("group not closed under composition")
-        self.field, self.elements = field, elements
-
-    def __eq__(self, other):  # equal by fields, and so unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.elements) == (other.field, other.elements)
-
-    def __repr__(self):
-        return f"GaloisGroup(field={self.field!r}, elements={self.elements!r})"
+        self._set(field, elements)  # unhashable, as elements is a list
 
     @property
     def order(self) -> int:

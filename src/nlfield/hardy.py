@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from .algebra import AlgebraElement, _Frozen
+from .algebra import AlgebraElement
 from .coeffs import GaussRat
 from .errors import BandwidthError, FieldMismatchError
 from .numberfield import (
@@ -26,6 +26,7 @@ from .numberfield import (
     embed_vector,
     trace_on_infinity,
 )
+from .polys import _Frozen
 from .signs import grade, quadrant, sign_of
 
 EPS = 2.0 ** -52

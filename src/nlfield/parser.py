@@ -17,13 +17,13 @@ equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, monomial as make_monomial
 from .coeffs import EXACT, GaussRat
 from .errors import ParseError
 from .numberfield import FieldElement, NumberField
+from .polys import _Frozen
 
 # bit height allowed in the two factors of each product of a power x^n:
 # past it the power is rejected before the product is formed, so the work
@@ -33,42 +33,39 @@ MAX_POWER_BITS = 1 << 17
 # -- AST -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(_Frozen):
+    def __init__(self, value: Fraction):
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class Imag:
-    pass
+class Imag(_Frozen):
+    def __init__(self):
+        self._set()
 
 
-@dataclass(frozen=True)
-class Gen:
-    pass
+class Gen(_Frozen):
+    def __init__(self):
+        self._set()
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(_Frozen):
+    def __init__(self, arg):
+        self._set(arg)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: object
-    right: object
+class BinOp(_Frozen):
+    def __init__(self, op: str, left, right):  # op is one of + - * /
+        self._set(op, left, right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(_Frozen):
+    def __init__(self, base, exponent: int):
+        self._set(base, exponent)
 
 
-@dataclass(frozen=True)
-class Mono:
-    index: object
+class Mono(_Frozen):
+    def __init__(self, index):
+        self._set(index)
 
 
 def print_ast(node) -> str:

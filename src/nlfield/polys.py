@@ -12,19 +12,45 @@ from fractions import Fraction
 from typing import Sequence
 
 
-class Poly:
-    """Immutable polynomial over Q, coefficients lowest degree first."""
+class _Frozen:
+    """Base of the immutable value classes: equality by class and fields, a
+    hash of the field tuple, a Cls(f=...) repr, and assignment that raises.
+    The fields are the parameters of a subclass's `__init__`, which sets
+    them with `_set`; it keeps their tuple for `==` and hash."""
 
-    __slots__ = ("coeffs",)
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values), _values=values)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Poly(_Frozen):
+    """Immutable polynomial over Q, coefficients lowest degree first."""
 
     def __init__(self, coeffs: Sequence = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
+        self._set(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -44,12 +70,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs

@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import partial
 
-from .algebra import AlgebraElement, _element, _Frozen
+from .algebra import AlgebraElement, _element
 from .errors import SignlessError, UndecidedNumericallyError
 from .intervals import Ball
 from .numberfield import (
@@ -32,6 +32,7 @@ from .numberfield import (
     refine,
     root_enclosures,
 )
+from .polys import _Frozen
 
 # -- complex signs ---------------------------------------------------
 

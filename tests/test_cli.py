@@ -64,6 +64,24 @@ def test_galois_verify_exit_codes(capsys):
     assert doc["passed"]
 
 
+def test_galois_verify_checks_an_explicit_image(capsys):
+    """--image goes through the checked Automorphism constructor: the
+    conjugation of Q(sqrt2) verifies, and a non-root exits 2."""
+    code, doc, _ = run(capsys, "galois", "verify", "--quadratic", "2", "--image=-a")
+    assert code == 0 and doc["passed"]
+    assert len(doc["reports"]) == 1 and doc["reports"][0]["passed"]
+    code, doc, err = run(capsys, "galois", "verify", "--quadratic", "2", "--image=a+1")
+    assert code == 2 and doc is None
+    assert err == "error: generator image does not satisfy the defining polynomial\n"
+
+
+def test_galois_group_closes_under_unchecked_compositions(capsys):
+    """The closure check composes through the unchecked constructor."""
+    code, doc, _ = run(capsys, "galois", "group", "--cyclotomic", "8",
+                       "--family", "cyclotomic(8)")
+    assert code == 0 and doc["group"]["order"] == 4
+
+
 def test_dirichlet_csv_pipeline(tmp_path, capsys):
     src = tmp_path / "ones.csv"
     with open(src, "w", newline="") as fh:
@@ -610,3 +628,23 @@ def test_import_loads_only_the_library():
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc == {"layers": [], "missing": "module 'nlfield' has no attribute 'no_such_name'",
                    "same": True, "tour": [], "star": True}
+
+
+_CLI_IMPORT = """
+import sys
+before = set(sys.modules)
+import nlfield.cli
+added = set(sys.modules) - before
+print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in added))
+"""
+
+
+def test_cli_import_loads_no_dataclasses():
+    """In a fresh interpreter, `import nlfield.cli` loads none of dataclasses
+    and the modules it brings in (inspect, ast, dis, tokenize)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IMPORT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,16 +1,27 @@
-"""The ten library value classes: equality, hashing, reprs, immutability
-and the checks their constructors make."""
+"""The value classes of the library and the parser's AST nodes: equality,
+hashing, reprs, immutability, pickling and copying, and the checks their
+constructors make."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from nlfield.algebra import ProjectiveClass
 from nlfield.errors import NotAnAutomorphismError, NotProjectivizableError
-from nlfield.galois import FlowParameter, GaloisGroup, TowerEmbedding, group_from_family
+from nlfield.galois import (
+    Automorphism,
+    FlowParameter,
+    GaloisGroup,
+    TowerEmbedding,
+    group_from_family,
+    identity_automorphism,
+)
 from nlfield.hardy import EvalResult, HyperPoint, TorusPoint
 from nlfield.numberfield import cyclotomic_field, quadratic_field
-from nlfield.parser import parse_algebra
+from nlfield.parser import BinOp, Gen, Num, parse_algebra, parse_expression
+from nlfield.polys import Poly
 from nlfield.signs import (
     ComplexSign,
     GradedDecomposition,
@@ -26,7 +37,9 @@ L = cyclotomic_field(8)
 K_REPR = "NumberField(deg=2, minpoly=Poly(-2 + x^2))"
 FIRST_FIELD = {"ProjectiveClass": "representative", "TowerEmbedding": "base",
                "FlowParameter": "coords", "EvalResult": "value", "HyperPoint": "reals",
-               "TorusPoint": "coords", "ComplexSign": "e", "SignVector": "reals"}
+               "TorusPoint": "coords", "ComplexSign": "e", "SignVector": "reals",
+               "Poly": "coeffs", "Automorphism": "field", "Num": "value", "BinOp": "op",
+               "GaloisGroup": "field"}
 
 
 def _instances():
@@ -72,6 +85,20 @@ def _instances():
             svec, SignVector(svec.reals, tuple(svec.complexes)),
             SignVector((), (quadrant(0), quadrant(0))), ((), svec.complexes),
             "(sqrt-e, +e)"),
+        "Poly": (  # no field tuple: the hash is not that of the coefficients
+            Poly([-2, 0, 1]), Poly([Fraction(-2), 0, 1, 0]), Poly([-3, 0, 1]), None,
+            "Poly(-2 + x^2)"),
+        "Automorphism": (
+            Automorphism(K, -K.gen), group_from_family(K, "quadratic").elements[1],
+            identity_automorphism(K), (K, -K.gen),
+            "Automorphism(a -> [Fraction(0, 1), Fraction(-1, 1)])"),
+        "Num": (
+            Num(Fraction(1, 2)), Num(Fraction(2, 4)), Num(Fraction(1)), (Fraction(1, 2),),
+            "Num(value=Fraction(1, 2))"),
+        "BinOp": (
+            BinOp("+", Gen(), Num(Fraction(1, 2))), parse_expression("a+1/2"),
+            BinOp("-", Gen(), Num(Fraction(1, 2))), ("+", Gen(), Num(Fraction(1, 2))),
+            "BinOp(op='+', left=Gen(), right=Num(value=Fraction(1, 2)))"),
     }
 
 
@@ -92,9 +119,12 @@ def test_projective_class_hashes_its_support():
     assert hash(proj) == hash(frozenset(proj.representative.terms))
 
 
-@pytest.mark.parametrize("name", sorted(_instances()))
+@pytest.mark.parametrize("name", sorted(FIRST_FIELD))
 def test_fields_cannot_be_assigned(name):
-    value = _instances()[name][0]
+    if name == "GaloisGroup":
+        value = group_from_family(K, "quadratic")
+    else:
+        value = _instances()[name][0]
     field = FIRST_FIELD[name]
     before = getattr(value, field)
     with pytest.raises(AttributeError):
@@ -156,3 +186,22 @@ def test_graded_decomposition_is_unhashable_and_compares_by_fields():
         hash(d)
     with pytest.raises(AttributeError):
         d.constant = 0
+
+
+def test_values_pickle_and_deep_copy():
+    """Every value holding a Poly, and the field itself with its places
+    isolated and a sign cached, comes back equal from deepcopy and from a
+    pickle round trip; an element of the copied field multiplies with one
+    of the original."""
+    assert len(K.places) == 2
+    sign_of(K.gen)
+    f = parse_algebra("2*z^{1}+z^{a}", K)
+    values = [K.minpoly, K, K.gen + 1, f, f.projectivize(),
+              TowerEmbedding(K, L, L.gen + L.gen ** 7), Automorphism(K, -K.gen),
+              group_from_family(K, "quadratic"), grade(f), parse_expression("(1+a)^2")]
+    for value in values:
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    product = K.element([1, 1]) * K.gen
+    for field in (copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
+        assert field.element([1, 1]) * K.gen == product
