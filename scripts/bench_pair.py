@@ -152,8 +152,8 @@ def main(argv=None) -> int:
         # compiles the modules it imports inside its setup_s
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
                  "bytecode_cache": not sys.flags.dont_write_bytecode},
-        "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary, "change_wins": wins,
-        "verdict": verdict, "runs": runs,
+        "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary,
+        "change_wins": wins, "verdict": verdict, "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
