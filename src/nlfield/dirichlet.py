@@ -6,6 +6,8 @@ inversion by the standard recursion, and the finite Mellin evaluation
 D_f(y) = sum a_n n^(-2 pi i y).  Convolution and inversion run in
 sieve order, over the multiples of each nonzero coefficient's index;
 `divisors_of` enumerates divisors through a smallest-prime-factor sieve.
+In exact mode they run on Gaussian integers over one common denominator,
+dividing by a_1 exactly in Z[i], and build each output `GaussRat` once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 from . import coeffs
 from .algebra import AlgebraElement, _element
-from .coeffs import EXACT
+from .coeffs import EXACT, _gauss
 from .errors import NotInvertibleError
 from .numberfield import rationals
 
@@ -124,12 +126,32 @@ def to_algebra(s: IntegerSeries) -> AlgebraElement:
     return _element(Q, s.mode, {Q.from_rational(n): s[n] for n in s.support()})
 
 
+def _scaled(s: IntegerSeries) -> tuple:
+    """(X, Y, D) with a_n = (X[n-1] + i*Y[n-1])/D, D the lcm of the dens."""
+    D = math.lcm(*{c.den for c in s.a})
+    return [c.x * (D // c.den) for c in s.a], [c.y * (D // c.den) for c in s.a], D
+
+
 def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
     """Dirichlet convolution c_n = sum_{d|n} a_d b_{n/d}, truncated, in sieve
     order: each nonzero a_d meets each nonzero b_k with dk <= N."""
     if f.N != g.N or f.mode != g.mode:
         raise ValueError("series must share bound and mode")
     N = f.N
+    if f.mode == EXACT:
+        (X, Y, Df), (U, V, Dg) = _scaled(f), _scaled(g)
+        re, im = [0] * (N + 1), [0] * (N + 1)
+        bs = [(k, u, v) for k, u, v in zip(range(1, N + 1), U, V) if u or v]
+        for d, x, y in zip(range(1, N + 1), X, Y):
+            if not (x or y):
+                continue
+            top = N // d
+            for k, u, v in bs:
+                if k > top:
+                    break
+                re[d * k] += x * u - y * v
+                im[d * k] += x * v + y * u
+        return IntegerSeries(N, [_gauss(x, y, Df * Dg) for x, y in zip(re[1:], im[1:])])
     out = [coeffs.zero(f.mode)] * (N + 1)
     bs = [(k, c) for k, c in enumerate(g.a, 1) if c]
     for d, ad in enumerate(f.a, 1):
@@ -145,10 +167,39 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
 
 def dinvert(f: IntegerSeries) -> IntegerSeries:
     """Dirichlet inverse: dconv(f, result) = delta_1 up to N.  Each b_d, once
-    final, is pushed forward into the sums of its multiples."""
+    final, is pushed forward into the sums of its multiples.
+
+    Exact mode scales f to Gaussian integers F = D*a with u = F_1, and finds
+    B_n = b_n u^L / D, where L = N.bit_length() > Omega(n): B_1 = u^(L-1) and
+    u B_n = -sum_{d|n, d<n} F_{n/d} B_d, a division exact in Z[i]; then
+    b_n = D B_n conj(u)^L / |u|^(2L)."""
     if not f[1]:
         raise NotInvertibleError("leading coefficient a_1 is zero")
     N = f.N
+    if f.mode == EXACT:
+        X, Y, D = _scaled(f)
+        (ux, uy), n2, L = (X[0], Y[0]), X[0] ** 2 + Y[0] ** 2, N.bit_length()
+        tail = [(k, x, y) for k, x, y in zip(range(2, N + 1), X[1:], Y[1:]) if x or y]
+        bx, by, sx, sy = ([0] * (N + 1) for _ in range(4))
+        bx[1], by[1] = 1, 0
+        for _ in range(L - 1):
+            bx[1], by[1] = bx[1] * ux - by[1] * uy, bx[1] * uy + by[1] * ux
+        for n in range(1, N + 1):
+            if n > 1:
+                x, y = sx[n], sy[n]
+                bx[n], by[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
+            x, y = bx[n], by[n]
+            if not (x or y):
+                continue
+            top = N // n
+            for k, fx, fy in tail:
+                if k > top:
+                    break
+                sx[n * k] += x * fx - y * fy
+                sy[n * k] += x * fy + y * fx
+        wx, wy = bx[1] * ux - by[1] * uy, -(bx[1] * uy + by[1] * ux)  # conj(u^L)
+        return IntegerSeries(N, [_gauss(D * (x * wx - y * wy), D * (x * wy + y * wx), n2 ** L)
+                                 for x, y in zip(bx[1:], by[1:])])
     inv_a1 = coeffs.coerce(1, f.mode) / f[1]
     acc = [coeffs.zero(f.mode)] * (N + 1)
     b = [coeffs.zero(f.mode)] * (N + 1)

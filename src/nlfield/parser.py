@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, monomial as make_monomial
+from . import coeffs
+from .algebra import AlgebraElement, _element, monomial as make_monomial
 from .coeffs import EXACT, GaussRat
 from .errors import ParseError
 from .numberfield import FieldElement, NumberField
@@ -68,6 +69,16 @@ class Mono(_Frozen):
         self._set(index)
 
 
+def _sum_chain(node):
+    """The left spine of a +/- chain: its leftmost operand and the (op, right
+    operand) pairs from left to right, so a long sum is walked in a loop."""
+    pairs = []
+    while isinstance(node, BinOp) and node.op in "+-":
+        pairs.append((node.op, node.right))
+        node = node.left
+    return node, pairs[::-1]
+
+
 def print_ast(node) -> str:
     if isinstance(node, Num):
         q = node.value
@@ -78,6 +89,10 @@ def print_ast(node) -> str:
         return "a"
     if isinstance(node, Neg):
         return f"(-{print_ast(node.arg)})"
+    if isinstance(node, BinOp) and node.op in "+-":
+        first, rest = _sum_chain(node)
+        return "(" * len(rest) + print_ast(first) + "".join(
+            f"{op}{print_ast(right)})" for op, right in rest)
     if isinstance(node, BinOp):
         rhs = print_ast(node.right)
         if node.op == "/" and isinstance(node.right, Num):
@@ -254,13 +269,16 @@ def eval_element(node, field: NumberField) -> FieldElement:
         base = eval_element(node.base, field)
         base = base.inverse() if node.exponent < 0 else base
         return _bounded_pow(base, abs(node.exponent), field.one, _element_bits)
+    if isinstance(node, BinOp) and node.op in "+-":
+        first, rest = _sum_chain(node)
+        acc = eval_element(first, field)
+        for op, right in rest:
+            b = eval_element(right, field)
+            acc = acc + b if op == "+" else acc - b
+        return acc
     if isinstance(node, BinOp):
         a = eval_element(node.left, field)
         b = eval_element(node.right, field)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
         if node.op == "*":
             return a * b
         if b.is_zero:
@@ -308,15 +326,12 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         one = GaussRat(1)
         v = one / v if node.exponent < 0 else v
         return _bounded_pow(v, abs(node.exponent), one, _scalar_bits)
+    if isinstance(node, BinOp) and node.op in "+-":
+        return _eval_sum(node, field, mode)
     if isinstance(node, BinOp):
         a = eval_algebra(node.left, field, mode)
         b = eval_algebra(node.right, field, mode)
         a_alg, b_alg = isinstance(a, AlgebraElement), isinstance(b, AlgebraElement)
-        if node.op in ("+", "-"):
-            if a_alg or b_alg:
-                a, b = _promote(a, field, mode), _promote(b, field, mode)
-                return a + b if node.op == "+" else a - b
-            return a + b if node.op == "+" else a - b
         if node.op == "*":
             if a_alg and b_alg:
                 raise ParseError(
@@ -337,6 +352,30 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
             return a.scale(GaussRat(1) / b)
         return a / b
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _eval_sum(node, field: NumberField, mode: str):
+    """A +/- chain term by term, as the left fold of binary + and - goes:
+    scalars add as scalars up to the first algebra term, and from there every
+    term adds into one dict, whose zero coefficients drop as they arise."""
+    first, rest = _sum_chain(node)
+    acc = eval_algebra(first, field, mode)
+    terms = dict(acc.terms) if isinstance(acc, AlgebraElement) else None
+    zero = coeffs.zero(mode)
+    for op, right in rest:
+        v = eval_algebra(right, field, mode)
+        if terms is None and not isinstance(v, AlgebraElement):
+            acc = acc + v if op == "+" else acc - v
+            continue
+        if terms is None:
+            terms = dict(_promote(acc, field, mode).terms)
+        for idx, c in _promote(v, field, mode).terms.items():
+            c = terms.get(idx, zero) + (c if op == "+" else -c)
+            if c:
+                terms[idx] = c
+            else:
+                del terms[idx]
+    return acc if terms is None else _element(field, mode, terms)
 
 
 def _bounded_pow(v, n: int, one, bits):

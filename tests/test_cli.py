@@ -291,6 +291,20 @@ def test_session_load_decodes_the_session_file_once(tmp_path, capsys, monkeypatc
     assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
+def test_field_option_files_under_its_name(tmp_path, capsys):
+    # A and B are one field under two names: what --field B names stays B's
+    sess = str(tmp_path / "s.json")
+    run(capsys, "--session", sess, "field", "new", "--name", "A", "--quadratic", "2")
+    run(capsys, "--session", sess, "field", "new", "--name", "B", "--minpoly=-2,0,1")
+    for argv in (["elem", "eval", "a"], ["alg", "cauchy", "z^{a}", "z^{1}"],
+                 ["galois", "group", "--family", "quadratic"]):
+        code, _, err = run(capsys, "--session", sess, *argv, "--field", "B", "--name", argv[0])
+        assert code == 0, err
+    doc = json.loads(open(sess).read())
+    assert [doc[k][n]["field"] for k, n in
+            [("elements", "elem"), ("algebra", "alg"), ("groups", "galois")]] == ["B"] * 3
+
+
 @pytest.mark.parametrize("field, message", [
     ({"minpoly": ["-4", "0", "1"], "signature": [2, 0]}, "reducible"),
     ({"minpoly": ["-5", "0", "1"], "signature": [0, 1]}, "signature"),
@@ -335,14 +349,24 @@ def test_minpoly_coefficient_past_the_str_digit_limit(capsys):
     ["elem", "eval", "(" * 10000 + "1" + ")" * 10000, "--quadratic", "2"],
     ["elem", "eval", "(" + "-" * 10000 + "1)", "--quadratic", "2"],
     ["alg", "trace", "z^{" * 10000 + "1" + "}" * 10000, "--quadratic", "2"],
-    # a flat sum parses to a left-deep tree: the evaluation recurses
-    ["elem", "eval", "1+" * 10000 + "1", "--quadratic", "2"],
-    ["alg", "trace", "+".join(["z^{1}"] * 10000), "--quadratic", "2"],
+    # a flat product parses to a left-deep tree: the evaluation recurses
+    # (a flat sum is walked in a loop: test_long_sums_evaluate)
+    ["elem", "eval", "1*" * 10000 + "1", "--quadratic", "2"],
+    ["alg", "trace", "2*" * 10000 + "z^{1}", "--quadratic", "2"],
 ])
 def test_deep_nesting_exits_2(capsys, argv):
     code, doc, err = run(capsys, *argv)
     assert code == 2 and doc is None
     assert err.startswith("error: expression tree too deep") and "Traceback" not in err
+
+
+def test_long_sums_evaluate(capsys):
+    code, doc, err = run(capsys, "elem", "eval", "1+" * 10000 + "a", "--quadratic", "2")
+    assert code == 0, err
+    assert doc["element"]["coords"] == ["10000", "1"]
+    code, doc, err = run(capsys, "alg", "trace", "+".join(["z^{1}"] * 10000), "--quadratic", "2")
+    assert code == 0, err
+    assert (doc["re"], doc["im"]) == (10000.0, 0.0)
 
 
 def test_moderate_nesting_evaluates(capsys):

@@ -1,11 +1,12 @@
 """Integer Dirichlet series: convolution, inversion, Mellin sums."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlfield.algebra import monomial
@@ -155,3 +156,74 @@ def test_dconv_dinvert_match_divisor_sums(a, b, mode):
     if a[0] != zero:
         want = _divisor_sum_inverse(a, zero, one)
         assert dinvert(f).a == want if mode == EXACT else _close(dinvert(f).a, want)
+
+
+class _QI(tuple):
+    """(re, im) as Fractions: the arithmetic of Q(i) for the oracles, apart
+    from GaussRat's."""
+
+    def __add__(self, o):
+        return _QI((self[0] + o[0], self[1] + o[1]))
+
+    def __neg__(self):
+        return _QI((-self[0], -self[1]))
+
+    def __mul__(self, o):
+        return _QI((self[0] * o[0] - self[1] * o[1], self[0] * o[1] + self[1] * o[0]))
+
+    def __truediv__(self, o):
+        n = o[0] * o[0] + o[1] * o[1]
+        return _QI(((self[0] * o[0] + self[1] * o[1]) / n, (self[1] * o[0] - self[0] * o[1]) / n))
+
+
+# rationals with denominators 1..12, zero half the time; a_1 a non-unit,
+# Gaussian or not, over a denominator or not
+rationals12 = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+qi_pair = st.one_of(st.just((0, 0)), st.tuples(rationals12, rationals12),
+                    st.tuples(rationals12, st.just(0)))
+leading = st.sampled_from([(Fraction(1, 2), 0), (3, 0), (1, 1), (2, Fraction(-3, 5))])
+# N = 1024 = 2^10: Omega(1024) + 1 = 11 = 1024.bit_length(), the scale dinvert
+# needs exactly; a_2 = 1 makes b_1024 carry 1/a_1^11
+pow2 = [(Fraction(1, (n % 12) + 1), 0) if n & (n - 1) else (0, 0) for n in range(3, 1025)]
+
+
+@given(leading, st.lists(qi_pair, max_size=59), st.lists(qi_pair, min_size=1, max_size=60))
+@example((2, Fraction(-3, 5)), [], [(Fraction(5, 7), 1)])
+@example((3, 0), [(1, 0)] + pow2, [(0, Fraction(1, 12))] * 1024)
+@example((2, Fraction(-3, 5)), [(1, 0)] + pow2, [(Fraction(-1, 2), 0)] * 1024)
+@settings(max_examples=60, deadline=None)
+def test_exact_kernel_matches_oracles_in_canonical_form(a1, rest, b):
+    N = min(1 + len(rest), len(b))
+    a = [_QI(map(Fraction, v)) for v in [a1] + rest[:N - 1]]
+    b = [_QI(map(Fraction, v)) for v in b[:N]]
+    f, g = (IntegerSeries(N, [GaussRat(*c) for c in v]) for v in (a, b))
+    zero = _QI((Fraction(0), Fraction(0)))
+    for got, want in ((dconv(f, g), _divisor_sum_conv(a, b, zero)),
+                      (dinvert(f), _divisor_sum_inverse(a, zero, _QI((Fraction(1), Fraction(0)))))):
+        want = [GaussRat(*c) for c in want]
+        assert [(c.x, c.y, c.den) for c in got.a] == [(c.x, c.y, c.den) for c in want]
+        assert list(map(hash, got.a)) == list(map(hash, want))
+
+
+def test_exact_corpus_hash():
+    # a seeded corpus over mixed denominators, a_1 among units, non-units and
+    # Gaussian values; the hash was taken with the GaussRat loops that the
+    # integer kernel replaced, and canonical outputs keep it
+    rng = random.Random(20)
+    leads = [GaussRat(Fraction(1, 2)), GaussRat(3), GaussRat(1, 1), GaussRat(2, Fraction(-3, 5)),
+             GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)]
+
+    def coeff():
+        if rng.random() < 0.35:
+            return GaussRat()
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.5 else 0
+        return GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 12)), im)
+
+    h = hashlib.sha256()
+    for _ in range(120):
+        N = rng.randint(1, 90)
+        f = IntegerSeries(N, [rng.choice(leads)] + [coeff() for _ in range(N - 1)])
+        g = IntegerSeries(N, [coeff() for _ in range(N)])
+        for s in (dconv(f, g), dinvert(f)):
+            h.update(repr([(c.x, c.y, c.den) for c in s.a]).encode())
+    assert h.hexdigest() == "d51baf0e5e5d26077a5642c8397b13a4ff48a3a26dd552b309b461340f8a78f2"

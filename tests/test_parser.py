@@ -1,13 +1,15 @@
 """Expression grammar: fixtures, error reporting, print/parse round trip."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfield.coeffs import GaussRat
+from nlfield.algebra import AlgebraElement
+from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.errors import ParseError
 from nlfield.numberfield import cyclotomic_field, quadratic_field, rationals
 from nlfield.parser import (
@@ -18,6 +20,7 @@ from nlfield.parser import (
     Neg,
     Num,
     Pow,
+    eval_algebra,
     parse_algebra,
     parse_element,
     parse_expression,
@@ -78,11 +81,12 @@ def test_deep_trees_raise_parse_error():
                 "z^{" * deep + "1" + "}" * deep]:
         with pytest.raises(ParseError, match="too deep"):
             parse_expression(src)
-    # these parse in a loop to a left-deep tree, which evaluation recurses along
+    # these parse in a loop to a left-deep tree, which evaluation recurses
+    # along for products (sums are walked in a loop)
     with pytest.raises(ParseError, match="too deep"):
-        parse_element("1+" * deep + "1", K)
+        parse_element("1*" * deep + "1", K)
     with pytest.raises(ParseError, match="too deep"):
-        parse_algebra("+".join(["z^{1}"] * deep), K)
+        parse_algebra("2*" * deep + "z^{1}", K)
 
 
 def test_division_by_zero_element():
@@ -140,3 +144,48 @@ def test_rational_literals_round_trip(q):
         f"-{-q.numerator}/{q.denominator}"
     )
     assert parse_element(src, Q) == Q.from_rational(q)
+
+
+def test_long_sums_evaluate():
+    # a flat sum is walked in a loop, so its length is not bounded by the
+    # recursion limit and its cost is linear
+    K = quadratic_field(2)
+    t = time.perf_counter()
+    assert parse_element("+".join(["a", "1/2"] * 2500), K) == K.element([1250, 2500])
+    assert time.perf_counter() - t < 1
+    t = time.perf_counter()
+    f = parse_algebra("+".join(f"{i}*z^{{{i}*a}}" for i in range(1, 5001)), K)
+    assert time.perf_counter() - t < 1
+    assert f == AlgebraElement(K, EXACT, {K.element([0, i]): i for i in range(1, 5001)})
+    assert print_ast(parse_expression("1-" * 4999 + "1")) == "(" * 4999 + "1" + "-1)" * 4999
+    # a deeply parenthesised term of a long sum is still too deep
+    for parse in (parse_element, parse_algebra):
+        with pytest.raises(ParseError, match="too deep"):
+            parse("1+" * 5000 + "(" * 10000 + "1" + ")" * 10000, K)
+
+
+SUM_TERMS = ["z^{1}", "2*z^{a}", "1/3", "1i", "(1/3)*z^{0}", "z^{0}", "-z^{1}",
+             "3/7*z^{1}", "(2-1i)*z^{a-1}"]
+
+
+@given(st.sampled_from(SUM_TERMS), st.lists(st.tuples(st.sampled_from("+-"),
+                                                      st.sampled_from(SUM_TERMS))),
+       st.sampled_from([EXACT, APPROX]))
+@settings(max_examples=150, deadline=None)
+def test_sum_matches_the_binary_left_fold(first, rest, mode):
+    # the sum of the terms one binary + or - at a time, a scalar meeting an
+    # algebra element as its multiple of z^{0}: the same coefficients, added
+    # in the same order, and the same order of terms
+    K = quadratic_field(2)
+
+    def promote(v):
+        return v if isinstance(v, AlgebraElement) else AlgebraElement(K, mode, {K.zero: v})
+
+    want = eval_algebra(parse_expression(first), K, mode)
+    for op, src in rest:
+        v = eval_algebra(parse_expression(src), K, mode)
+        if isinstance(want, AlgebraElement) or isinstance(v, AlgebraElement):
+            want, v = promote(want), promote(v)
+        want = want + v if op == "+" else want - v
+    got = parse_algebra(first + "".join(op + src for op, src in rest), K, mode)
+    assert list(got.terms.items()) == list(promote(want).terms.items())

@@ -11,7 +11,13 @@ from nlfield.algebra import monomial
 from nlfield.coeffs import GaussRat
 from nlfield.errors import SessionError
 from nlfield.galois import group_from_family
-from nlfield.numberfield import cyclotomic_field, define_field, quadratic_field, rationals
+from nlfield.numberfield import (
+    NumberField,
+    cyclotomic_field,
+    define_field,
+    quadratic_field,
+    rationals,
+)
 from nlfield.parser import parse_algebra
 from nlfield.polys import Poly
 from nlfield.session import Session, field_to_json, rat_from_str, rat_to_str
@@ -195,3 +201,45 @@ def test_rat_to_str_past_the_str_digit_limit():
     assert rat_to_str(10 ** 5000) == "1" + "0" * 5000
     assert rat_to_str(Fraction(10 ** 4400 + 1, 3)) == "1" + "0" * 4399 + "1/3"
     assert rat_from_str(rat_to_str(-(10 ** 5000))) == -(10 ** 5000)
+
+
+def test_load_compares_no_two_fields(monkeypatch):
+    # each entry names its field, so a load looks the name up and never
+    # searches the fields by value; the field checks of AlgebraElement and
+    # Automorphism still compare a field with itself
+    s = Session()
+    for i, n in enumerate([2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]):
+        K = quadratic_field(n)
+        s.add_field(f"K{i}", K)
+        s.add_element(f"e{i}", K.element([i, 1]))
+        s.add_algebra(f"f{i}", parse_algebra(f"2*z^{{a}}+z^{{{i}}}-1/3*z^{{0}}", K))
+        s.add_group(f"G{i}", group_from_family(K, "quadratic"))
+    text = s.dumps()
+    eq, calls = NumberField.__eq__, []
+
+    def counting_eq(a, b):
+        if a is not b:
+            calls.append((a, b))
+        return eq(a, b)
+
+    monkeypatch.setattr(NumberField, "__eq__", counting_eq)
+    assert Session.loads(text).dumps() == text
+    assert calls == []
+
+
+def test_load_files_entries_under_the_field_they_name():
+    # A and B are one field under two names: what the file gives to B stays B's
+    x2m2 = {"minpoly": ["-2", "0", "1"], "signature": [2, 0]}
+    doc = {
+        "fields": {"A": x2m2, "B": x2m2},
+        "elements": {"e": {"field": "B", "coords": ["0", "1"]}},
+        "algebra": {"f": {"field": "B", "mode": "exact",
+                          "terms": [{"index": ["0", "1"], "re": "1", "im": "0"}]}},
+        "groups": {"G": {"field": "B", "images": [["0", "1"], ["0", "-1"]]}},
+    }
+    s = Session.from_json(doc)
+    assert [s.elements["e"][0], s.algebra["f"][0], s.groups["G"][0]] == ["B"] * 3
+    with pytest.raises(SessionError, match="still referenced"):
+        s.remove_field("B")
+    s.remove_field("A")
+    assert s.to_json() == {**doc, "fields": {"B": x2m2}}
