@@ -93,10 +93,16 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.terms)
+        return _element(self.field, self.mode, self.terms)._iadd(other)
+
+    def _iadd(self, other: "AlgebraElement") -> "AlgebraElement":
+        """self += other, zero sums dropping as they arise; self must be fresh."""
+        t, zero = self.terms, coeffs.zero(self.mode)
         for idx, c in other.terms.items():
-            out[idx] = out.get(idx, coeffs.zero(self.mode)) + c
-        return _element(self.field, self.mode, out)
+            t[idx] = t.get(idx, zero) + c
+            if not t[idx]:
+                del t[idx]
+        return self
 
     def __neg__(self) -> "AlgebraElement":
         return _element(self.field, self.mode, {i: -c for i, c in self.terms.items()})

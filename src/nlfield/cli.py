@@ -158,7 +158,7 @@ def cmd_elem(ctx, args):
     if args.action == "eval":
         doc = smod.element_to_json(e, label)
         if args.name:
-            ctx.session.add_element(args.name, e, fname)
+            ctx.session.add_element(args.name, e)
             ctx.persist()
         ctx.emit({"command": "elem eval", "element": doc},
                  f"coords {doc['coords']}")
@@ -190,7 +190,7 @@ def cmd_alg(ctx, args):
         g = parse_algebra(args.expr2, field, mode)
         out = f.cauchy(g) if args.action == "cauchy" else f.dirichlet(g)
         if args.name:
-            ctx.session.add_algebra(args.name, out, fname)
+            ctx.session.add_algebra(args.name, out)
             ctx.persist()
         doc = smod.algebra_to_json(out, label)
         ctx.emit({"command": f"alg {args.action}", "result": doc},
@@ -230,7 +230,7 @@ def cmd_galois(ctx, args):
     if args.action == "group":
         G = group_from_family(field, args.family)
         if args.name:
-            ctx.session.add_group(args.name, G, fname)
+            ctx.session.add_group(args.name, G)
             ctx.persist()
         doc = smod.group_to_json(G, label)
         doc["order"] = G.order

@@ -6,8 +6,8 @@ inversion by the standard recursion, and the finite Mellin evaluation
 D_f(y) = sum a_n n^(-2 pi i y).  Convolution and inversion run in
 sieve order, over the multiples of each nonzero coefficient's index;
 `divisors_of` enumerates divisors through a smallest-prime-factor sieve.
-In exact mode they run on Gaussian integers over one common denominator,
-dividing by a_1 exactly in Z[i], and build each output `GaussRat` once.
+Below MAX_SCALE, exact mode runs on Gaussian integers over a common
+denominator and divides by a_1 exactly in Z[i]; past it, on `GaussRat`.
 """
 
 from __future__ import annotations
@@ -126,10 +126,26 @@ def to_algebra(s: IntegerSeries) -> AlgebraElement:
     return _element(Q, s.mode, {Q.from_rational(n): s[n] for n in s.support()})
 
 
+# Past this scale (D_f D_g in dconv, |D a_1|^(2L) in dinvert) the integer
+# kernels can lose to the GaussRat loop, which reduces at every step; below
+# it they took 0.2-1.0x the loop's time on every input measured.
+MAX_SCALE = 2 ** 64
+
+
 def _scaled(s: IntegerSeries) -> tuple:
-    """(X, Y, D) with a_n = (X[n-1] + i*Y[n-1])/D, D the lcm of the dens."""
+    """D, the lcm of the dens, and (n, x, y) with x + iy = D a_n for each a_n != 0."""
     D = math.lcm(*{c.den for c in s.a})
-    return [c.x * (D // c.den) for c in s.a], [c.y * (D // c.den) for c in s.a], D
+    return D, [(n, c.x * (D // c.den), c.y * (D // c.den)) for n, c in enumerate(s.a, 1) if c]
+
+
+def _push(re, im, n, x, y, terms, N):
+    """Add (x + iy)(u + iv) into index n k for each (k, u, v) of terms, k <= N/n."""
+    top = N // n
+    for k, u, v in terms:
+        if k > top:
+            break
+        re[n * k] += x * u - y * v
+        im[n * k] += x * v + y * u
 
 
 def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
@@ -139,19 +155,12 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
         raise ValueError("series must share bound and mode")
     N = f.N
     if f.mode == EXACT:
-        (X, Y, Df), (U, V, Dg) = _scaled(f), _scaled(g)
-        re, im = [0] * (N + 1), [0] * (N + 1)
-        bs = [(k, u, v) for k, u, v in zip(range(1, N + 1), U, V) if u or v]
-        for d, x, y in zip(range(1, N + 1), X, Y):
-            if not (x or y):
-                continue
-            top = N // d
-            for k, u, v in bs:
-                if k > top:
-                    break
-                re[d * k] += x * u - y * v
-                im[d * k] += x * v + y * u
-        return IntegerSeries(N, [_gauss(x, y, Df * Dg) for x, y in zip(re[1:], im[1:])])
+        (Df, fs), (Dg, gs) = _scaled(f), _scaled(g)
+        if Df * Dg < MAX_SCALE:
+            re, im = [0] * (N + 1), [0] * (N + 1)
+            for d, x, y in fs:
+                _push(re, im, d, x, y, gs, N)
+            return IntegerSeries(N, [_gauss(x, y, Df * Dg) for x, y in zip(re[1:], im[1:])])
     out = [coeffs.zero(f.mode)] * (N + 1)
     bs = [(k, c) for k, c in enumerate(g.a, 1) if c]
     for d, ad in enumerate(f.a, 1):
@@ -169,37 +178,26 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
     """Dirichlet inverse: dconv(f, result) = delta_1 up to N.  Each b_d, once
     final, is pushed forward into the sums of its multiples.
 
-    Exact mode scales f to Gaussian integers F = D*a with u = F_1, and finds
-    B_n = b_n u^L / D, where L = N.bit_length() > Omega(n): B_1 = u^(L-1) and
-    u B_n = -sum_{d|n, d<n} F_{n/d} B_d, a division exact in Z[i]; then
-    b_n = D B_n conj(u)^L / |u|^(2L)."""
+    Below MAX_SCALE, exact mode finds the Gaussian integers B_n = b_n |u|^(2L)/D
+    for F = D a, u = F_1 and L = N.bit_length() > Omega(n), dividing exactly in
+    Z[i]: u B_n = |u|^(2L) [n = 1] - sum_{d|n, d<n} F_{n/d} B_d."""
     if not f[1]:
         raise NotInvertibleError("leading coefficient a_1 is zero")
     N = f.N
     if f.mode == EXACT:
-        X, Y, D = _scaled(f)
-        (ux, uy), n2, L = (X[0], Y[0]), X[0] ** 2 + Y[0] ** 2, N.bit_length()
-        tail = [(k, x, y) for k, x, y in zip(range(2, N + 1), X[1:], Y[1:]) if x or y]
-        bx, by, sx, sy = ([0] * (N + 1) for _ in range(4))
-        bx[1], by[1] = 1, 0
-        for _ in range(L - 1):
-            bx[1], by[1] = bx[1] * ux - by[1] * uy, bx[1] * uy + by[1] * ux
-        for n in range(1, N + 1):
-            if n > 1:
+        D, ((_, ux, uy), *tail) = _scaled(f)
+        n2 = ux * ux + uy * uy
+        scale = n2 ** N.bit_length()
+        if scale < MAX_SCALE:
+            # s holds -u B_n, and B_n from step n on
+            sx, sy = [0] * (N + 1), [0] * (N + 1)
+            sx[1] = -scale
+            for n in range(1, N + 1):
                 x, y = sx[n], sy[n]
-                bx[n], by[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
-            x, y = bx[n], by[n]
-            if not (x or y):
-                continue
-            top = N // n
-            for k, fx, fy in tail:
-                if k > top:
-                    break
-                sx[n * k] += x * fx - y * fy
-                sy[n * k] += x * fy + y * fx
-        wx, wy = bx[1] * ux - by[1] * uy, -(bx[1] * uy + by[1] * ux)  # conj(u^L)
-        return IntegerSeries(N, [_gauss(D * (x * wx - y * wy), D * (x * wy + y * wx), n2 ** L)
-                                 for x, y in zip(bx[1:], by[1:])])
+                x, y = sx[n], sy[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
+                if x or y:
+                    _push(sx, sy, n, x, y, tail, N)
+            return IntegerSeries(N, [_gauss(D * x, D * y, scale) for x, y in zip(sx[1:], sy[1:])])
     inv_a1 = coeffs.coerce(1, f.mode) / f[1]
     acc = [coeffs.zero(f.mode)] * (N + 1)
     b = [coeffs.zero(f.mode)] * (N + 1)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import coeffs
-from .algebra import AlgebraElement, _element, monomial as make_monomial
+from .algebra import AlgebraElement, monomial as make_monomial
 from .coeffs import EXACT, GaussRat
 from .errors import ParseError
 from .numberfield import FieldElement, NumberField
@@ -69,14 +68,14 @@ class Mono(_Frozen):
         self._set(index)
 
 
-def _sum_chain(node):
-    """The left spine of a +/- chain: its leftmost operand and the (op, right
-    operand) pairs from left to right, so a long sum is walked in a loop."""
+def _sum_terms(node):
+    """The (sign, term) pairs of a +/- chain from left to right, the first
+    term signed '+': a long sum is walked in a loop, not recursed along."""
     pairs = []
     while isinstance(node, BinOp) and node.op in "+-":
         pairs.append((node.op, node.right))
         node = node.left
-    return node, pairs[::-1]
+    return [("+", node)] + pairs[::-1]
 
 
 def print_ast(node) -> str:
@@ -89,10 +88,6 @@ def print_ast(node) -> str:
         return "a"
     if isinstance(node, Neg):
         return f"(-{print_ast(node.arg)})"
-    if isinstance(node, BinOp) and node.op in "+-":
-        first, rest = _sum_chain(node)
-        return "(" * len(rest) + print_ast(first) + "".join(
-            f"{op}{print_ast(right)})" for op, right in rest)
     if isinstance(node, BinOp):
         rhs = print_ast(node.right)
         if node.op == "/" and isinstance(node.right, Num):
@@ -270,11 +265,10 @@ def eval_element(node, field: NumberField) -> FieldElement:
         base = base.inverse() if node.exponent < 0 else base
         return _bounded_pow(base, abs(node.exponent), field.one, _element_bits)
     if isinstance(node, BinOp) and node.op in "+-":
-        first, rest = _sum_chain(node)
-        acc = eval_element(first, field)
-        for op, right in rest:
-            b = eval_element(right, field)
-            acc = acc + b if op == "+" else acc - b
+        acc = field.zero
+        for op, term in _sum_terms(node):
+            v = eval_element(term, field)
+            acc = acc + v if op == "+" else acc - v
         return acc
     if isinstance(node, BinOp):
         a = eval_element(node.left, field)
@@ -327,7 +321,16 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
         v = one / v if node.exponent < 0 else v
         return _bounded_pow(v, abs(node.exponent), one, _scalar_bits)
     if isinstance(node, BinOp) and node.op in "+-":
-        return _eval_sum(node, field, mode)
+        # scalars add as scalars until an algebra term, then all into one element
+        acc = GaussRat(0)
+        for op, term in _sum_terms(node):
+            v = eval_algebra(term, field, mode)
+            if isinstance(acc, AlgebraElement) or isinstance(v, AlgebraElement):
+                v = _promote(v, field, mode)
+                acc = _promote(acc, field, mode)._iadd(v if op == "+" else -v)
+            else:
+                acc = acc + v if op == "+" else acc - v
+        return acc
     if isinstance(node, BinOp):
         a = eval_algebra(node.left, field, mode)
         b = eval_algebra(node.right, field, mode)
@@ -352,30 +355,6 @@ def eval_algebra(node, field: NumberField, mode: str = EXACT):
             return a.scale(GaussRat(1) / b)
         return a / b
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def _eval_sum(node, field: NumberField, mode: str):
-    """A +/- chain term by term, as the left fold of binary + and - goes:
-    scalars add as scalars up to the first algebra term, and from there every
-    term adds into one dict, whose zero coefficients drop as they arise."""
-    first, rest = _sum_chain(node)
-    acc = eval_algebra(first, field, mode)
-    terms = dict(acc.terms) if isinstance(acc, AlgebraElement) else None
-    zero = coeffs.zero(mode)
-    for op, right in rest:
-        v = eval_algebra(right, field, mode)
-        if terms is None and not isinstance(v, AlgebraElement):
-            acc = acc + v if op == "+" else acc - v
-            continue
-        if terms is None:
-            terms = dict(_promote(acc, field, mode).terms)
-        for idx, c in _promote(v, field, mode).terms.items():
-            c = terms.get(idx, zero) + (c if op == "+" else -c)
-            if c:
-                terms[idx] = c
-            else:
-                del terms[idx]
-    return acc if terms is None else _element(field, mode, terms)
 
 
 def _bounded_pow(v, n: int, one, bits):

@@ -151,6 +151,10 @@ class Session:
             raise SessionError(f"{kind[:-1]} name {name!r} already in use")
 
     def field_name_of(self, field: NumberField) -> str:
+        # the very object first, as a loaded entry's field is, then an equal one
+        for name, f in self.fields.items():
+            if f is field:
+                return name
         for name, f in self.fields.items():
             if f == field:
                 return name
@@ -161,23 +165,20 @@ class Session:
         self.fields[name] = field
         return field
 
-    def _add(self, kind: str, name: str, value, field_name: str | None):
-        """File value under field_name, the name of the registered field it
-        lies over; without one, the field is looked up by value."""
-        self._fresh(kind, name)
-        if field_name is None:
-            field_name = self.field_name_of(value.field)
-        getattr(self, kind)[name] = (field_name, value)
-        return value
+    def add_element(self, name: str, elem: FieldElement):
+        self._fresh("elements", name)
+        self.elements[name] = (self.field_name_of(elem.field), elem)
+        return elem
 
-    def add_element(self, name: str, elem: FieldElement, field_name: str | None = None):
-        return self._add("elements", name, elem, field_name)
+    def add_algebra(self, name: str, f: AlgebraElement):
+        self._fresh("algebra", name)
+        self.algebra[name] = (self.field_name_of(f.field), f)
+        return f
 
-    def add_algebra(self, name: str, f: AlgebraElement, field_name: str | None = None):
-        return self._add("algebra", name, f, field_name)
-
-    def add_group(self, name: str, g: GaloisGroup, field_name: str | None = None):
-        return self._add("groups", name, g, field_name)
+    def add_group(self, name: str, g: GaloisGroup):
+        self._fresh("groups", name)
+        self.groups[name] = (self.field_name_of(g.field), g)
+        return g
 
     def remove_field(self, name: str):
         if name not in self.fields:
@@ -229,11 +230,12 @@ class Session:
                 raise SessionError(f"unknown section {kind!r}")
         for name in sorted(doc.get("fields", {})):
             sess.add_field(name, field_from_json(doc["fields"][name]))
-        for kind, from_doc in (("elements", element_from_json),
-                               ("algebra", algebra_from_json), ("groups", group_from_json)):
+        for kind, from_doc, add in (("elements", element_from_json, sess.add_element),
+                                    ("algebra", algebra_from_json, sess.add_algebra),
+                                    ("groups", group_from_json, sess.add_group)):
             for name in sorted(doc.get(kind, {})):
                 d = doc[kind][name]
-                sess._add(kind, name, from_doc(d, sess.get_field(d["field"])), d["field"])
+                add(name, from_doc(d, sess.get_field(d["field"])))
         return sess
 
     @classmethod

@@ -3,12 +3,15 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlfield import dirichlet
 from nlfield.algebra import monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.dirichlet import (
@@ -187,22 +190,40 @@ leading = st.sampled_from([(Fraction(1, 2), 0), (3, 0), (1, 1), (2, Fraction(-3,
 pow2 = [(Fraction(1, (n % 12) + 1), 0) if n & (n - 1) else (0, 0) for n in range(3, 1025)]
 
 
+# every input through each path: MAX_SCALE = inf takes the integer kernels
+# at any scale, MAX_SCALE = 0 the GaussRat loops
+@pytest.mark.parametrize("max_scale", [math.inf, 0], ids=["kernel", "loop"])
 @given(leading, st.lists(qi_pair, max_size=59), st.lists(qi_pair, min_size=1, max_size=60))
 @example((2, Fraction(-3, 5)), [], [(Fraction(5, 7), 1)])
 @example((3, 0), [(1, 0)] + pow2, [(0, Fraction(1, 12))] * 1024)
 @example((2, Fraction(-3, 5)), [(1, 0)] + pow2, [(Fraction(-1, 2), 0)] * 1024)
 @settings(max_examples=60, deadline=None)
-def test_exact_kernel_matches_oracles_in_canonical_form(a1, rest, b):
+def test_exact_paths_match_oracles_in_canonical_form(max_scale, a1, rest, b):
     N = min(1 + len(rest), len(b))
     a = [_QI(map(Fraction, v)) for v in [a1] + rest[:N - 1]]
     b = [_QI(map(Fraction, v)) for v in b[:N]]
     f, g = (IntegerSeries(N, [GaussRat(*c) for c in v]) for v in (a, b))
     zero = _QI((Fraction(0), Fraction(0)))
-    for got, want in ((dconv(f, g), _divisor_sum_conv(a, b, zero)),
-                      (dinvert(f), _divisor_sum_inverse(a, zero, _QI((Fraction(1), Fraction(0)))))):
+    with mock.patch.object(dirichlet, "MAX_SCALE", max_scale):
+        pairs = ((dconv(f, g), _divisor_sum_conv(a, b, zero)),
+                 (dinvert(f), _divisor_sum_inverse(a, zero, _QI((Fraction(1), Fraction(0))))))
+    for got, want in pairs:
         want = [GaussRat(*c) for c in want]
         assert [(c.x, c.y, c.den) for c in got.a] == [(c.x, c.y, c.den) for c in want]
         assert list(map(hash, got.a)) == list(map(hash, want))
+
+
+def test_large_denominators_take_the_loop():
+    # a_n = 1/n has the inverse mu(n)/n; its scale lcm(1..N)^(2L) is far past
+    # MAX_SCALE, where the integer kernel would work on numbers of ~10^5 bits
+    N = 3000
+    f = IntegerSeries(N, [GaussRat(Fraction(1, n)) for n in range(1, N + 1)])
+    t = time.perf_counter()
+    b = dinvert(f)
+    assert dconv(f, b) == IntegerSeries.delta(N)
+    assert time.perf_counter() - t < 1
+    mu = dinvert(IntegerSeries.ones(N))
+    assert b.a == [GaussRat(c.re / n) for n, c in enumerate(mu.a, 1)]
 
 
 def test_exact_corpus_hash():

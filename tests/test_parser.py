@@ -157,7 +157,6 @@ def test_long_sums_evaluate():
     f = parse_algebra("+".join(f"{i}*z^{{{i}*a}}" for i in range(1, 5001)), K)
     assert time.perf_counter() - t < 1
     assert f == AlgebraElement(K, EXACT, {K.element([0, i]): i for i in range(1, 5001)})
-    assert print_ast(parse_expression("1-" * 4999 + "1")) == "(" * 4999 + "1" + "-1)" * 4999
     # a deeply parenthesised term of a long sum is still too deep
     for parse in (parse_element, parse_algebra):
         with pytest.raises(ParseError, match="too deep"):
