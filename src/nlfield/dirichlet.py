@@ -132,10 +132,20 @@ def to_algebra(s: IntegerSeries) -> AlgebraElement:
 MAX_SCALE = 2 ** 64
 
 
-def _scaled(s: IntegerSeries) -> tuple:
-    """D, the lcm of the dens, and (n, x, y) with x + iy = D a_n for each a_n != 0."""
-    D = math.lcm(*{c.den for c in s.a})
-    return D, [(n, c.x * (D // c.den), c.y * (D // c.den)) for n, c in enumerate(s.a, 1) if c]
+def _den_below(s: IntegerSeries, bound) -> int:
+    """The lcm of the dens if it is below bound, else 0, found before the
+    lcm grows large."""
+    D = 1
+    for d in {c.den for c in s.a}:
+        D = math.lcm(D, d)
+        if D >= bound:
+            return 0
+    return D
+
+
+def _scaled(s: IntegerSeries, D: int) -> list:
+    """(n, x, y) with x + iy = D a_n for each a_n != 0; every den divides D."""
+    return [(n, c.x * (D // c.den), c.y * (D // c.den)) for n, c in enumerate(s.a, 1) if c]
 
 
 def _push(re, im, n, x, y, terms, N):
@@ -155,10 +165,10 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
         raise ValueError("series must share bound and mode")
     N = f.N
     if f.mode == EXACT:
-        (Df, fs), (Dg, gs) = _scaled(f), _scaled(g)
-        if Df * Dg < MAX_SCALE:
-            re, im = [0] * (N + 1), [0] * (N + 1)
-            for d, x, y in fs:
+        Df, Dg = _den_below(f, MAX_SCALE), _den_below(g, MAX_SCALE)
+        if 0 < Df * Dg < MAX_SCALE:
+            re, im, gs = [0] * (N + 1), [0] * (N + 1), _scaled(g, Dg)
+            for d, x, y in _scaled(f, Df):
                 _push(re, im, d, x, y, gs, N)
             return IntegerSeries(N, [_gauss(x, y, Df * Dg) for x, y in zip(re[1:], im[1:])])
     out = [coeffs.zero(f.mode)] * (N + 1)
@@ -185,10 +195,12 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
         raise NotInvertibleError("leading coefficient a_1 is zero")
     N = f.N
     if f.mode == EXACT:
-        D, ((_, ux, uy), *tail) = _scaled(f)
+        D, a1 = _den_below(f, MAX_SCALE), f[1]
+        ux, uy = a1.x * (D // a1.den), a1.y * (D // a1.den)
         n2 = ux * ux + uy * uy
         scale = n2 ** N.bit_length()
-        if scale < MAX_SCALE:
+        if 0 < scale < MAX_SCALE:
+            tail = _scaled(f, D)[1:]
             # s holds -u B_n, and B_n from step n on
             sx, sy = [0] * (N + 1), [0] * (N + 1)
             sx[1] = -scale
