@@ -204,9 +204,9 @@ def test_rat_to_str_past_the_str_digit_limit():
 
 
 def test_load_compares_no_two_fields(monkeypatch):
-    # each entry names its field, so a load looks the name up and never
-    # searches the fields by value; the field checks of AlgebraElement and
-    # Automorphism still compare a field with itself
+    # each entry is decoded over the registered field its name gives, and
+    # that very object is found again without comparing fields by value; the
+    # field checks of AlgebraElement and Automorphism compare a field with itself
     s = Session()
     for i, n in enumerate([2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]):
         K = quadratic_field(n)
