@@ -64,8 +64,8 @@ __version__ = "0.1.0"
 # no library module imports the CLI layers, so each layer and each name
 # it gives loads on first use
 _LAZY = {"parser": "parser", "parse_algebra": "parser", "parse_element": "parser",
-         "parse_expression": "parser", "print_ast": "parser",
-         "session": "session", "Session": "session", "suites": "suites", "run_suite": "suites"}
+         "parse_expression": "parser", "session": "session", "Session": "session",
+         "suites": "suites", "run_suite": "suites"}
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
 
 

@@ -12,8 +12,10 @@ rest of the ball in integers, so no rational arithmetic runs on the way
 to a sign.
 
 Root enclosures come from one function, `root_enclosures`; `isolate_roots`
-puts them in place order.  mpmath's polyroots supplies approximations;
-each is moved to a dyadic centre c and certified by the inclusion disk
+puts them in place order.  The approximations come from the Aberth-Ehrlich
+iteration in fixed point, on Gaussian integers over 2^prec, started at
+Bini's points, whose radii are read off the upper convex hull of the
+points (k, log2|a_k|).  Each iterate is certified by the inclusion disk
 |w - c| <= n |p(c)/p'(c)| (Rump, "Verification methods", Acta Numerica
 19, 2010), whose radius is evaluated exactly in integers and rounded up.
 n pairwise disjoint disks hold one root each, so a disk centred on R
@@ -27,7 +29,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, partial
-from math import comb, gcd, isqrt, lcm
+from math import comb, cos, floor, gcd, isqrt, lcm, log2, pi, sin
 from operator import mul, ne
 
 from .errors import (
@@ -80,15 +82,6 @@ def _positive(width) -> Fraction:
     if width.numerator <= 0:
         raise ValueError("width must be positive")
     return width
-
-
-def _dyadic(x, k: int) -> int:
-    """x * 2^k truncated to an integer, exactly, from mpmath's binary
-    representation (sign, mantissa, exponent)."""
-    sign, man, exp, _ = x._mpf_
-    shift = exp + k
-    v = man << shift if shift >= 0 else man >> -shift
-    return -v if sign else v
 
 
 def _newton(coeffs, re: int, im: int, k: int) -> tuple[int | None, int, int]:
@@ -216,30 +209,92 @@ def _compare_real_parts(u: Place, v: Place, sturm, width: Fraction) -> int | Non
     return 0 if _roots_between(sturm(), min(a_lo, b_lo), max(a_hi, b_hi), k) == 1 else None
 
 
+def _start(coeffs, k: int) -> list[tuple[int, int]]:
+    """Bini's starting points (Numer. Algorithms 13, 1996) on the 2^-k grid:
+    an edge from i to j of the upper convex hull of the points (i, log2|a_i|)
+    gives j - i points on the circle of radius (|a_i| / |a_j|)^(1/(j - i)),
+    and a zero constant term the exact root 0, at most once in a squarefree p."""
+    hull = []
+    for q in [(i, log2(abs(c))) for i, c in enumerate(coeffs) if c]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    zs, n = [(0, 0)] * hull[0][0], len(coeffs) - 1
+    for (i, u), (j, v) in zip(hull, hull[1:]):
+        # the radius on the grid, at least 2^5 so that the points are apart,
+        # is f 2^e with f < 2^31 a float, so that huge radii fit
+        r = max((u - v) / (j - i) + k, 5)
+        e = floor(r) - 30
+        f = 2 ** (r - e)
+        for m in range(j - i):
+            t = 2 * pi * (m / (j - i) + i / n) + 0.7
+            x, y = int(f * cos(t)), int(f * sin(t))
+            zs.append((x << e, y << e) if e >= 0 else (x >> -e, y >> -e))
+    return zs
+
+
+def _aberth_sweep(coeffs, zs: list, k: int) -> list | None:
+    """One Gauss-Seidel sweep of the Aberth-Ehrlich iteration (Aberth,
+    Math. Comp. 27, 1973) on the iterates zs, Gaussian integers over 2^k,
+    in place: z_i moves by w / (1 - w sum_(j != i) 1/(z_i - z_j)), w its
+    Newton quotient from `_newton`, or by w where that denominator is 0 on
+    the grid.  Returns `_newton` at every iterate if none moved, else None."""
+    out, moved = [], False
+    for i, (x, y) in enumerate(zs):
+        s, w_re, w_im = q = _newton(coeffs, x, y, k)
+        out.append(q)
+        if s is None:  # p'(z_i) = 0: step off the critical point, and off R
+            w_re = w_im = -1
+        elif not (w_re or w_im):
+            continue
+        # t = 2^k (1 - w sum 1/(z_i - z_j)) over the iterates z_j != z_i: an
+        # equal one is left out, and the first of the two to move parts them
+        t_re, t_im = 1 << k, 0
+        for u, v in zs:
+            d_re, d_im = x - u, y - v
+            if dd := d_re * d_re + d_im * d_im:
+                t_re -= ((w_re * d_re + w_im * d_im) << k) // dd
+                t_im -= ((w_im * d_re - w_re * d_im) << k) // dd
+        # the move (w 2^k) / t, rounded to the grid
+        if tt := t_re * t_re + t_im * t_im:
+            n_re, n_im = (w_re * t_re + w_im * t_im) << k, (w_im * t_re - w_re * t_im) << k
+            w_re, w_im = (2 * n_re + tt) // (2 * tt), (2 * n_im + tt) // (2 * tt)
+        if w_re or w_im:
+            zs[i] = (x - w_re, y - w_im)
+            moved = True
+    return None if moved else out
+
+
 def root_enclosures(p: Poly) -> list[Place]:
     """Every root of the squarefree polynomial p as a Place with a certified
     isolating ball: the real roots ascending, one root of each conjugate
     pair (Im > 0) in no proved order, then their conjugates in the same order.
 
-    polyroots runs at the precision of `refine`'s widths, 53, 106, ... bits,
-    until the inclusion disks of its approximations, centred on the 2^-prec
-    grid, are pairwise disjoint.  An approximation whose disk meets R is
-    moved onto R first, so that a real root gets a disk symmetric about R."""
-    import mpmath  # loaded by the first isolation, not by `import nlfield`
+    Aberth's iteration runs on the 2^-prec grid at the precision of
+    `refine`'s widths, 53, 106, ... bits, from Bini's points on the first
+    rung and from the last rung's iterates, shifted left, on the next,
+    until it stops moving and the inclusion disks of its iterates are
+    pairwise disjoint.  An iterate whose disk meets R is moved onto R first,
+    so that a real root gets a disk symmetric about R."""
     coeffs = _over_common_denominator(p.coeffs)[0]
     n = p.degree
+    zs, last = [], 0
 
     def separated(width: Fraction) -> list[Place] | None:
+        nonlocal zs, last
         prec = _bits(width)
-        with mpmath.workprec(prec):
-            try:
-                approx = mpmath.polyroots(coeffs[::-1], maxsteps=50 + 10 * n, extraprec=prec)
-            except mpmath.libmp.NoConvergence:
-                return None
+        zs = [(x << prec - last, y << prec - last) for x, y in zs] if zs else _start(coeffs, prec)
+        last = prec
+        # iterates near a cluster of roots finer than the last grid close in
+        # on it linearly, so the sweeps allowed grow with the precision
+        for _ in range(50 + 10 * n + prec):
+            if (quotients := _aberth_sweep(coeffs, zs, prec)) is not None:
+                break
+        else:
+            return None
         disks = []  # (re, im, s) on the 2^-prec grid, Im >= 0 only
-        for z in map(mpmath.mpc, approx):
-            re, im = (_dyadic(part, prec) for part in (z.real, z.imag))
-            s = _newton(coeffs, re, im, prec)[0]
+        for (re, im), (s, _, _) in zip(zs, quotients):
             if s is not None and abs(im) <= s:
                 im, s = 0, _newton(coeffs, re, 0, prec)[0]
             if s is not None and im >= 0:

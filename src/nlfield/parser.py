@@ -11,8 +11,6 @@ Grammar (whitespace-insensitive):
 
 The generator of the active field is always written "a"; the imaginary
 unit of coefficients is "1i" so it cannot clash with field elements.
-Printing emits a canonical fully parenthesized form that reparses to an
-equal tree.
 """
 
 from __future__ import annotations
@@ -76,29 +74,6 @@ def _sum_terms(node):
         pairs.append((node.op, node.right))
         node = node.left
     return [("+", node)] + pairs[::-1]
-
-
-def print_ast(node) -> str:
-    if isinstance(node, Num):
-        q = node.value
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    if isinstance(node, Imag):
-        return "1i"
-    if isinstance(node, Gen):
-        return "a"
-    if isinstance(node, Neg):
-        return f"(-{print_ast(node.arg)})"
-    if isinstance(node, BinOp):
-        rhs = print_ast(node.right)
-        if node.op == "/" and isinstance(node.right, Num):
-            # keep "a/p" from re-lexing as part of a rational literal
-            rhs = f"({rhs})"
-        return f"({print_ast(node.left)}{node.op}{rhs})"
-    if isinstance(node, Pow):
-        return f"({print_ast(node.base)}^{node.exponent})"
-    if isinstance(node, Mono):
-        return f"z^{{{print_ast(node.index)}}}"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # -- tokenizer -------------------------------------------------------

@@ -24,8 +24,9 @@ from nlfield.parser import (
     parse_algebra,
     parse_element,
     parse_expression,
-    print_ast,
 )
+
+from helpers import print_ast
 
 
 def test_element_fixtures():

@@ -1,14 +1,16 @@
 """Certified root enclosures.
 
 The sign vectors and place orders below were recorded from the sympy
-CRootOf path that `isolate_roots` replaced; the mpmath Newton path must
-reproduce them exactly.  The property test checks the enclosures against
-50-digit roots and sympy's real-root count.
+CRootOf path that `isolate_roots` replaced; the Aberth path must
+reproduce them exactly.  The property tests check the enclosures against
+50-digit roots, sympy's real-root count and the mpmath path that Aberth's
+iteration replaced.
 """
 
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -26,6 +28,8 @@ from nlfield.numberfield import (
 )
 from nlfield.polys import Poly
 from nlfield.signs import sign_of
+
+from helpers import mpmath_root_enclosures
 
 # one character per component of a serialized sign vector
 SIGN_CODES = {"+": "+", "-": "-", "sqrt-": "i", "-sqrt-": "j",
@@ -384,6 +388,66 @@ def test_isolate_roots_encloses_every_root(coeffs):
             assert box.width <= width
             assert q.isolating.re.lo <= box.re.lo and box.re.hi <= q.isolating.re.hi
             assert q.isolating.im.lo <= box.im.lo and box.im.hi <= q.isolating.im.hi
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Monic squarefree integer polynomials of degree 1 to 16, lowest
+    coefficient first; a zero constant term gives the root 0."""
+    n = draw(st.integers(1, 16))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    p = sympy.Poly(coeffs[::-1], sympy.Symbol("x"))
+    assume(sympy.gcd(p, p.diff()).degree() == 0)
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_polys())
+@example([0, 1])  # Q's minimal polynomial
+@example([0, -2, 0, 1])  # x^3 - 2x: the roots 0 and +-sqrt 2
+@example([0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1])  # x^16 + x
+@example([1, 0, 3] + [0] * 13 + [1])  # x^16 + 3x^2 + 1: two places with real part 0
+def test_enclosures_match_the_mpmath_oracle(coeffs):
+    """The same places as mpmath's polyroots gave, in the same order, and
+    each isolating ball holds exactly one 50-digit root."""
+    p, n = Poly(coeffs), len(coeffs) - 1
+    places = isolate_roots(p)
+    with mock.patch.object(numberfield, "root_enclosures", mpmath_root_enclosures):
+        oracle = isolate_roots(p)
+    assert len(places) == len(oracle) == n
+    assert [q.is_real for q in places] == [q.is_real for q in oracle]
+    fine = Fraction(1, 2**200)
+    for i, q in enumerate(places):
+        assert [o.box(fine).overlaps(q.box(fine)) for o in oracle] == [j == i for j in range(n)]
+    with mpmath.workdps(50):
+        roots = [mpmath.mpc(z) for z in mpmath.polyroots(coeffs[::-1], maxsteps=400,
+                                                          extraprec=400)]
+    slack = Fraction(1, 10**40)
+    for box in (q.isolating for q in places):
+        assert sum(box.re.lo - slack <= _mpf_fraction(z.real) <= box.re.hi + slack
+                   and box.im.lo - slack <= _mpf_fraction(z.imag) <= box.im.hi + slack
+                   for z in roots) == 1
+
+
+@pytest.mark.parametrize("k", [10, 20, 50, 100])
+def test_close_real_roots_are_isolated(k):
+    """x^3 - 2(10^k x - 1)^2, irreducible by Eisenstein at 2, has two real
+    roots about 10^(-5k/2) apart near 10^-k and a third near 2 10^(2k); all
+    three are positive, as x^3 = 2(10^k x - 1)^2 > 0 at each."""
+    places = isolate_roots(Poly([-2, 4 * 10**k, -2 * 10**(2 * k), 1]))
+    assert [q.is_real for q in places] == [True] * 3
+    assert all(q.isolating.re_sign() == 1 for q in places)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(1, 10**72), 0, 0, 0, 1],  # 10^-18 zeta_8 and its conjugates
+    [Fraction(7, 10**150), 0, Fraction(-5, 10**150), 0, 1],
+])
+def test_roots_far_below_the_first_grid(coeffs):
+    """Four non-real roots 2^-60 or less from 0, where p' vanishes: on the
+    first grids the iterates land on 0 and must step off it."""
+    places = isolate_roots(Poly(coeffs))
+    assert len(places) == 4 and not any(q.is_real for q in places)
 
 
 # -- the tie proof's pair-sum polynomial ------------------------------------
