@@ -407,6 +407,8 @@ def squarefree_polys(draw):
 @example([0, -2, 0, 1])  # x^3 - 2x: the roots 0 and +-sqrt 2
 @example([0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1])  # x^16 + x
 @example([1, 0, 3] + [0] * 13 + [1])  # x^16 + 3x^2 + 1: two places with real part 0
+@example([100, 120, 84, 52, 24, 6, 1])  # two places with real part -1.6299...
+@example([1] * 17)  # Phi_17
 def test_enclosures_match_the_mpmath_oracle(coeffs):
     """The same places as mpmath's polyroots gave, in the same order, and
     each isolating ball holds exactly one 50-digit root."""
