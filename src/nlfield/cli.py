@@ -18,7 +18,7 @@ from functools import cache
 from . import dirichlet as dmod
 from . import hardy, session as smod, signs
 from .algebra import AlgebraElement, monomial
-from .coeffs import APPROX, EXACT, GaussRat
+from .coeffs import APPROX, EXACT, _gauss
 from .errors import NlfieldError
 from .galois import (
     FlowParameter,
@@ -108,11 +108,10 @@ def _read_series(path: str, N: int) -> dmod.IntegerSeries:
         if len(row) < 2:
             raise NlfieldError(f"CSV row {row[0]!r} has no real part")
         n = int(row[0])
-        re = rat_from_str(row[1])
-        im = rat_from_str(row[2]) if len(row) > 2 and row[2] else 0
+        (re, im), den = smod.nums_over_lcm([row[1], row[2] if len(row) > 2 and row[2] else "0"])
         if not 1 <= n <= N:
             raise NlfieldError(f"coefficient index {n} outside 1..{N}")
-        vals[n - 1] = GaussRat(re, im)
+        vals[n - 1] = _gauss(re, im, den)
     return dmod.IntegerSeries(N, vals)
 
 
@@ -122,7 +121,7 @@ def _write_series(path: str, s: dmod.IntegerSeries):
         w.writerow(["n", "re", "im"])
         for n in s.support():
             c = s[n]
-            w.writerow([n, rat_to_str(c.re), rat_to_str(c.im)])
+            w.writerow([n, *smod.ratios_to_strs((c.x, c.y), c.den)])
 
 
 # -- command implementations -----------------------------------------

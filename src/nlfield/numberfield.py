@@ -381,8 +381,10 @@ class NumberField:
     def __init__(self, minpoly: Poly):
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        self._hash = hash(minpoly)
-        self._reduction = den, table = _reduction_table(minpoly)
+        # the minimal polynomial as integers over one denominator, its last entry
+        self._ints = _over_common_denominator(minpoly.coeffs)[0]
+        self._hash = hash(self._ints)
+        self._reduction = den, table = _reduction_table(self._ints)
         # den Tr(x^i) = den sum_j [x^j] x^(i+j), read off the table where i + j >= d
         d = self.degree
         self._traces = [d * den] + [sum(table[i + j - d][j] for j in range(d - i, d))
@@ -403,14 +405,17 @@ class NumberField:
     @cached_property
     def signature(self) -> tuple[int, int]:
         """(r, s): the numbers of real places and of complex pairs."""
-        seq = _sturm_sequence(_over_common_denominator(self.minpoly.coeffs)[0])
+        seq = _sturm_sequence(self._ints)
         r = _sign_changes(seq, -1) - _sign_changes(seq, 1)
         return r, (self.degree - r) // 2
 
     # -- constructors ------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
-        num, den = _over_common_denominator(coords)
+        return self.from_integers(*_over_common_denominator(coords))
+
+    def from_integers(self, num, den: int = 1) -> "FieldElement":
+        """The element with coordinates num / den, for den > 0."""
         if len(num) != self.degree:
             raise ValueError(f"need {self.degree} coordinates, got {len(num)}")
         return FieldElement(self, num, den)
@@ -456,23 +461,23 @@ class NumberField:
 
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
-    qs = [Fraction(v) for v in values]
+    qs = [v if v.__class__ is int or v.__class__ is Fraction else Fraction(v) for v in values]
     den = lcm(*(q.denominator for q in qs))
     return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
 
-def _reduction_table(minpoly: Poly) -> tuple[int, list]:
-    """x^k mod minpoly for d <= k <= 2d - 2 (Cohen, A Course in
-    Computational Algebraic Number Theory, 4.2): (den, rows), where row
-    k - d holds the power-basis coordinates of x^k times den."""
-    d = minpoly.degree
-    xd = [-c for c in minpoly.coeffs[:d]]  # x^d, as minpoly is monic
-    rows, row = [], xd
-    for _ in range(d - 1):
-        rows.append(row)
-        row = [row[-1] * r + c for r, c in zip(xd, [0] + row[:-1])]  # times x
-    den = lcm(*(c.denominator for r in rows for c in r))
-    return den, [[int(c * den) for c in r] for r in rows]
+def _reduction_table(a: tuple[int, ...]) -> tuple[int, list]:
+    """x^k mod (a_0 + ... + a_d x^d) / a_d for d <= k <= 2d - 2 (Cohen, A Course
+    in Computational Algebraic Number Theory, 4.2): (den, rows), where row
+    k - d holds the power-basis coordinates of x^k times den, their lcm."""
+    d, D = len(a) - 1, a[-1]
+    rows = [[-c for c in a[:d]]][:d - 1]  # row j over D^(j + 1)
+    while len(rows) < d - 1:  # times x
+        r = rows[-1]
+        rows.append([D * u - r[-1] * c for u, c in zip([0] + r[:-1], a)])
+    rows = [[c * D ** (d - 2 - j) for c in r] for j, r in enumerate(rows)]
+    g = gcd(D ** (d - 1), *(c for r in rows for c in r))
+    return D ** (d - 1) // g, [[c // g for c in r] for r in rows]
 
 
 class FieldElement:
@@ -674,21 +679,20 @@ def define_field(minpoly: Poly) -> NumberField:
         raise NotMonicError(f"minimal polynomial must be monic: {minpoly}")
     if minpoly.degree > MAX_DESK_DEGREE:
         raise ValueError(f"degree {minpoly.degree} exceeds desk scale ({MAX_DESK_DEGREE})")
+    field = NumberField(minpoly)
     if minpoly.degree == 2:
-        c, b, _ = minpoly.coeffs
-        disc = b * b - 4 * c
-        if disc >= 0:
-            num, den = isqrt(disc.numerator), isqrt(disc.denominator)
-            if num * num == disc.numerator and den * den == disc.denominator:
-                # the root (-b + sqrt(disc))/2 as the factor x - root
-                raise ReduciblePolynomialError(Poly([(b - Fraction(num, den)) / 2, 1]))
-    elif minpoly.degree > 2 and minpoly.coeffs not in map(_cyclotomic, range(3, 61)):
+        c, b, den = field._ints
+        disc = b * b - 4 * c * den  # den^2 times the discriminant
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
+            # the root (-b + sqrt(disc)) / (2 den) as the factor x - root
+            raise ReduciblePolynomialError(Poly([Fraction(b - isqrt(disc), 2 * den), 1]))
+    elif minpoly.degree > 2 and field._ints not in map(_cyclotomic, range(3, 61)):
         _, factors = _to_sympoly(minpoly).factor_list()
         if len(factors) > 1 or factors[0][1] > 1:
             # a proper factor: a repeated one has lower degree than minpoly
             factor = factors[0][0].monic().all_coeffs()
             raise ReduciblePolynomialError(Poly([Fraction(c.p, c.q) for c in reversed(factor)]))
-    return NumberField(minpoly)
+    return field
 
 
 # -- operations ------------------------------------------------------
@@ -712,7 +716,7 @@ def minimal_polynomial_of(a: FieldElement) -> Poly:
     the monic polynomial of degree k with the power sums Tr(a^j) k / d is
     tried at a; the first that vanishes there is m, as no nonzero
     polynomial of degree below deg m does."""
-    key = a.coords
+    key = a.num, a.den
     cache = a.field._minpoly_cache
     if key in cache:
         return cache[key]

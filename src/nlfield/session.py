@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
-from .algebra import AlgebraElement
-from .coeffs import APPROX, EXACT, GaussRat
+from .algebra import AlgebraElement, _element
+from .coeffs import APPROX, EXACT, _gauss
 from .errors import SessionError
 from .galois import Automorphism, GaloisGroup
 from .numberfield import FieldElement, NumberField, define_field
@@ -27,37 +29,84 @@ _KINDS = ("fields", "elements", "algebra", "groups")
 
 
 # Past the interpreter's limit on int <-> str digits (4300 by default),
-# rationals go through Decimal, which converts integers exactly at any length.
+# integers convert by halves, as CPython 3.12's Lib/_pylong.py does
+# (gh-90716), in time subquadratic in the digit count.
+
+
+def _int(s: str, pow10=None) -> int:
+    """int(s) for a string of decimal digits, signed or not, of any length."""
+    try:
+        return int(s)
+    except ValueError:  # past the digit limit
+        pow10, k = pow10 or lru_cache(None)(lambda k: 10 ** k), len(s) // 2
+    # the sign of s is the sign of its high half, which may read as zero
+    hi, lo = _int(s[:-k], pow10), _int(s[-k:], pow10)
+    return hi * pow10(k) + (-lo if s[0] == "-" else lo)
+
+
+def _str(n: int) -> str:
+    """str(n) for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit
+        pow2 = lru_cache(None)(lambda k: Decimal(2) ** k)
+
+    def dec(m: int, w: int) -> Decimal:  # 0 <= m < 2^w, exactly
+        if w <= 1024:
+            return Decimal(m)
+        k, hi = w // 2, m >> w // 2
+        return dec(hi, w - k) * pow2(k) + dec(m - (hi << k), k)
+
+    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]):
+        return "-" * (n < 0) + str(dec(abs(n), abs(n).bit_length()))
+
+
+# "p" and "p/q", the forms the encoders write, skip Fraction's parser
+_PLAIN_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
+
+
+def nums_over_lcm(strs) -> tuple[list[int], int]:
+    """Rational strings, each read as Fraction(str) reads it, as integer
+    numerators over the lcm of their denominators."""
+    try:  # integers, the common case: a string int reads, Fraction reads alike
+        nums = [int(s) for s in strs if s.__class__ is str]
+        if len(nums) == len(strs):
+            return nums, 1
+    except ValueError:
+        pass
+    pairs = []
+    for s in strs:
+        m = _PLAIN_RAT.match(s)
+        den = m and _int(m[2] or "1")
+        # Fraction reads what is not "p" or "p/q", and refuses a zero denominator
+        pairs.append((_int(m[1]), den) if den else Fraction(s).as_integer_ratio())
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def rat_from_str(s: str) -> int | Fraction:
+    """A rational from any string that Fraction(str) reads, as an int when
+    its denominator is 1."""
+    (num,), den = nums_over_lcm([s])
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def ratios_to_strs(nums, den: int) -> list[str]:
+    """Each num / den, for den > 0, as "p" or "p/q" in lowest terms."""
+    try:
+        if den == 1:
+            return list(map(str, nums))
+    except ValueError:  # past the digit limit
+        pass
+    return [_str(n // g) if g == den else f"{_str(n // g)}/{_str(den // g)}"
+            for n in nums for g in (gcd(n, den),)]
 
 
 def rat_to_str(q) -> str:
     """q as "p" or "p/q" in lowest terms."""
     if type(q) is not int and type(q) is not Fraction:
         q = Fraction(q)
-    try:
-        return str(q)
-    except ValueError:
-        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
-        return num if den == "1" else f"{num}/{den}"
-
-
-# "p" and "p/q", the forms rat_to_str writes, skip Fraction's parser
-_PLAIN_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
-
-
-def rat_from_str(s: str) -> int | Fraction:
-    """A rational from any string that Fraction(str) reads, as an int when
-    its denominator is 1."""
-    m = _PLAIN_RAT.match(s)
-    if m is None:
-        q = Fraction(s)
-    else:
-        try:
-            num, den = int(m[1]), int(m[2] or 1)
-        except ValueError:  # past the digit limit
-            num, den = int(Decimal(m[1])), int(Decimal(m[2] or 1))
-        q = num if den == 1 else Fraction(num, den)
-    return q.numerator if q.denominator == 1 else q
+    return ratios_to_strs([q.numerator], q.denominator)[0]
 
 
 def field_to_json(field: NumberField) -> dict:
@@ -81,27 +130,25 @@ def field_from_json(doc: dict) -> NumberField:
 
 
 def element_to_json(elem: FieldElement, field_name: str) -> dict:
-    return {
-        "field": field_name,
-        "coords": [rat_to_str(c) for c in elem.coords],
-    }
+    return {"field": field_name, "coords": ratios_to_strs(elem.num, elem.den)}
 
 
 def element_from_json(doc: dict, field: NumberField) -> FieldElement:
-    return field.element([rat_from_str(c) for c in doc["coords"]])
+    return field.from_integers(*nums_over_lcm(doc["coords"]))
 
 
 def algebra_to_json(f: AlgebraElement, field_name: str) -> dict:
+    # the index order of the rational coordinates, in integers over one lcm
+    den = lcm(*(e.den for e in f.terms))
+    key = (lambda e: e.num) if den == 1 else lambda e: [c * (den // e.den) for c in e.num]
     terms = []
-    for idx in sorted(f.terms, key=lambda e: e.coords):
+    for idx in sorted(f.terms, key=key):
         c = f.terms[idx]
         if f.mode == EXACT:
-            re, im = rat_to_str(c.re), rat_to_str(c.im)
+            re, im = ratios_to_strs((c.x, c.y), c.den)
         else:
             re, im = repr(c.real), repr(c.imag)
-        terms.append(
-            {"index": [rat_to_str(q) for q in idx.coords], "re": re, "im": im}
-        )
+        terms.append({"index": ratios_to_strs(idx.num, idx.den), "re": re, "im": im})
     return {"field": field_name, "mode": f.mode, "terms": terms}
 
 
@@ -109,30 +156,28 @@ def algebra_from_json(doc: dict, field: NumberField) -> AlgebraElement:
     mode = doc["mode"]
     terms = {}
     for t in doc["terms"]:
-        idx = field.element([rat_from_str(q) for q in t["index"]])
+        idx = field.from_integers(*nums_over_lcm(t["index"]))
         if mode == EXACT:
-            terms[idx] = GaussRat(rat_from_str(t["re"]), rat_from_str(t["im"]))
+            (x, y), den = nums_over_lcm((t["re"], t["im"]))
+            terms[idx] = _gauss(x, y, den)
         elif mode == APPROX:
             terms[idx] = complex(float(t["re"]), float(t["im"]))
         else:
             raise SessionError(f"unknown mode {mode!r}")
-    return AlgebraElement(field, mode, terms)
+    # terms valid by construction; with none, AlgebraElement checks the mode
+    return _element(field, mode, terms) if terms else AlgebraElement(field, mode)
 
 
 def group_to_json(group: GaloisGroup, field_name: str) -> dict:
     return {
         "field": field_name,
-        "images": [
-            [rat_to_str(c) for c in sig.image.coords] for sig in group.elements
-        ],
+        "images": [ratios_to_strs(g.image.num, g.image.den) for g in group.elements],
     }
 
 
 def group_from_json(doc: dict, field: NumberField) -> GaloisGroup:
-    return GaloisGroup(field, [
-        Automorphism(field, field.element([rat_from_str(c) for c in coords]))
-        for coords in doc["images"]
-    ])
+    return GaloisGroup(field, [Automorphism(field, field.from_integers(*nums_over_lcm(c)))
+                               for c in doc["images"]])
 
 
 class Session:

@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -681,3 +683,53 @@ def test_cli_import_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", _CLI_IMPORT], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _series_csv(rng, N, lead):
+    """A seeded series over 1..N as CSV rows n,re,im: p/q values, some of them
+    unreduced or padded, some entries absent and some imaginary parts blank."""
+    rows = ["n,re,im", f"1,{lead}"]
+    for n in range(2, N + 1):
+        if rng.random() < 0.3:
+            continue
+        re = Fraction(rng.randint(-30, 30), rng.randint(1, 16))
+        form = rng.choice([str(re), f"{2 * re.numerator}/{2 * re.denominator}", f" {re} "])
+        im = str(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) if rng.random() < 0.4 else ""
+        rows.append(f"{n},{form},{im}")
+    return "\n".join(rows) + "\n"
+
+
+def test_dirichlet_out_csv_bytes_are_pinned(tmp_path, capsys):
+    # the hash was taken with the Fraction reader and writer that the integer
+    # helpers replaced; --out must keep writing the same bytes
+    rng = random.Random(2222)
+    h = hashlib.sha256()
+    f, g, out = (str(tmp_path / name) for name in ("f.csv", "g.csv", "out.csv"))
+    for lead in ["1/2,0", "2,1", "-3/4,1/3", "1,"]:
+        N = rng.randint(40, 90)
+        with open(f, "w") as fh:
+            fh.write(_series_csv(rng, N, lead))
+        with open(g, "w") as fh:
+            fh.write(_series_csv(rng, N, "5/6,-1"))
+        for argv in (["invert", "--in", f], ["conv", "--in", f, "--in2", g]):
+            code, _, err = run(capsys, "--json", "dirichlet", *argv, "--N", str(N), "--out", out)
+            assert code == 0, err
+            with open(out, "rb") as fh:
+                h.update(fh.read())
+    assert h.hexdigest() == "f4e52b67adbd6e6d7955f70cc90e297bfec557d1d641bf6639d7d5ddccc5c1dc"
+
+
+def test_dirichlet_conv_of_a_140000_digit_coefficient_is_fast(tmp_path, capsys):
+    # reading and writing the coefficient take time subquadratic in its length
+    rng = random.Random(140)
+    digits = "-" + str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=139999))
+    (tmp_path / "f.csv").write_text(f"n,re,im\n1,1,0\n2,{digits},0\n")
+    (tmp_path / "g.csv").write_text("n,re,im\n1,1,0\n")
+    out = tmp_path / "out.csv"
+    t = time.perf_counter()
+    code, _, err = run(capsys, "dirichlet", "conv", "--in", str(tmp_path / "f.csv"),
+                       "--in2", str(tmp_path / "g.csv"), "--N", "2", "--out", str(out))
+    elapsed = time.perf_counter() - t
+    assert code == 0, err
+    assert out.read_text() == f"n,re,im\n1,1,0\n2,{digits},0\n"
+    assert elapsed < 1, elapsed

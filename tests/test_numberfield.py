@@ -1,5 +1,6 @@
 """Exact field arithmetic, places, traces, and the inverse different."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -444,3 +445,22 @@ def test_mixed_rational_element_laws(ka, q):
     assert q - a == -(a - q)
     if not a.is_zero:
         assert q / a * a == K.from_rational(q)
+
+
+@st.composite
+def monic_rational_polys(draw):
+    d = draw(st.integers(1, 6))
+    return Poly(draw(st.lists(small_rats, min_size=d, max_size=d)) + [1])
+
+
+@given(monic_rational_polys())
+@settings(max_examples=100, deadline=None)
+@example(Poly([Fraction(1, 5), Fraction(-1, 3), 0, 1]))
+@example(Poly([Fraction(-1, 2), 0, 1]))
+def test_reduction_table_is_the_powers_of_x_mod_p_over_their_lcm(p):
+    # the table is built in integers; Poly's remainder in Fractions is the reference
+    d = p.degree
+    den, rows = numberfield._reduction_table(numberfield._over_common_denominator(p.coeffs)[0])
+    want = [(Poly([0] * k + [1]) % p).coeffs for k in range(d, 2 * d - 1)]
+    assert rows == [[c * den for c in r + (0,) * (d - len(r))] for r in want]
+    assert math.gcd(den, *(c for r in rows for c in r)) == 1

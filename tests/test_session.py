@@ -1,14 +1,17 @@
 """Session documents: naming, referential integrity, lossless JSON."""
 
+import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlfield.algebra import monomial
-from nlfield.coeffs import GaussRat
+from nlfield.coeffs import GaussRat, _gauss
 from nlfield.errors import SessionError
 from nlfield.galois import group_from_family
 from nlfield.numberfield import (
@@ -20,7 +23,17 @@ from nlfield.numberfield import (
 )
 from nlfield.parser import parse_algebra
 from nlfield.polys import Poly
-from nlfield.session import Session, field_to_json, rat_from_str, rat_to_str
+from nlfield.session import (
+    Session,
+    algebra_from_json,
+    algebra_to_json,
+    element_from_json,
+    element_to_json,
+    field_to_json,
+    nums_over_lcm,
+    rat_from_str,
+    rat_to_str,
+)
 
 
 def make_session():
@@ -243,3 +256,201 @@ def test_load_files_entries_under_the_field_they_name():
         s.remove_field("B")
     s.remove_field("A")
     assert s.to_json() == {**doc, "fields": {"B": x2m2}}
+
+
+
+# -- the integer codec ------------------------------------------------
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the decoder must fail as the reference fails
+        return type(exc), str(exc)
+
+
+rat_texts = st.one_of(
+    st.fractions().map(str),
+    st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 6)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.text(alphabet=" +-/_.e0123456789\u0663", max_size=8),
+)
+
+
+@given(st.sampled_from([rationals(), quadratic_field(2), cyclotomic_field(5)]),
+       st.lists(rat_texts, max_size=5))
+@settings(max_examples=400, deadline=None)
+@example(quadratic_field(2), ["+3", "-1/6"])
+@example(quadratic_field(2), [" 7 ", "-1/6"])
+@example(quadratic_field(2), ["2/4", "-1/6"])
+@example(quadratic_field(2), ["-0", "-1/6"])
+@example(quadratic_field(2), ["1_000", "-1/6"])
+@example(quadratic_field(2), ["0.5", "-1/6"])
+@example(quadratic_field(2), ["1e3", "-1/6"])
+@example(quadratic_field(2), ["3/-4", "-1/6"])
+@example(quadratic_field(2), ["1/0", "-1/6"])
+@example(quadratic_field(2), ["", "-1/6"])
+@example(quadratic_field(2), ["\u0663", "-1/6"])  # ARABIC-INDIC DIGIT THREE
+@example(quadratic_field(2), ["12"])
+@example(rationals(), [])
+def test_integer_decoder_matches_field_element(K, strs):
+    # the value, or the exception type and message, of the Fraction reading
+    want = _outcome(lambda: K.element([rat_from_str(s) for s in strs]))
+    assert _outcome(lambda: K.element([Fraction(s) for s in strs])) == want
+    assert _outcome(lambda: K.from_integers(*nums_over_lcm(strs))) == want
+    if len(strs) == 2:  # an exact coefficient re + im i
+        def coefficient():
+            (x, y), den = nums_over_lcm(strs)
+            return _gauss(x, y, den)
+
+        assert _outcome(coefficient) == _outcome(lambda: GaussRat(*map(rat_from_str, strs)))
+
+
+def _odd_form(rng, q: Fraction) -> str:
+    """q written as a person might edit it: canonical, unreduced, signed,
+    padded, with digit separators or in decimal or exponent notation."""
+    n, d = q.numerator, q.denominator
+    forms = [str(q), f"{3 * n}/{3 * d}", f" {q}\t", f"{1000 * n:_}/{1000 * d:_}"]
+    if n >= 0:
+        forms.append(f"+{q}")
+    if d == 1:
+        forms += [f"{n}e0", f"{10 * n}e-1", f"{n}.0" if n else "-0"]
+    if d in (2, 4, 5, 8):
+        forms.append(repr(n / d))
+    return rng.choice(forms)
+
+
+# (minimal polynomial, signature)
+CORPUS_FIELDS = [(["-2", "0", "1"], [2, 0]), (["1", "0", "1"], [0, 1]),
+                 (["-1/3", "0", "1"], [2, 0]), (["3", "1", "1"], [0, 1]), (["0", "1"], [1, 0]),
+                 (["-5/2", "1"], [1, 0]), (["1", "-1", "0", "1"], [1, 1]),
+                 (["1", "1", "1", "1", "1"], [0, 2]), (["1/5", "-1/3", "0", "1"], [1, 1])]
+
+
+def _corpus_texts():
+    """Seeded session files: canonical and hand-edited entries over fields of
+    degree 1 to 4 with integer and rational minimal polynomials, exact and
+    approx algebra entries, Galois groups, and both JSON layouts."""
+    rng = random.Random(22)
+
+    def rat(edit):
+        q = Fraction(rng.randint(-40, 40), rng.choice([1, 1, 1, 2, 3, 4, 5, 6, 8, 12]))
+        return _odd_form(rng, q) if edit and rng.random() < 0.5 else str(q)
+
+    for _ in range(40):
+        edit = rng.random() < 0.6
+        names = rng.sample(range(len(CORPUS_FIELDS)), rng.randint(1, 4))
+        doc = {"fields": {}, "elements": {}, "algebra": {}, "groups": {}}
+        for i in names:
+            mp, signature = CORPUS_FIELDS[i]
+            field = {"minpoly": [_odd_form(rng, Fraction(c)) if edit else c for c in mp]}
+            if not edit or rng.random() < 0.7:
+                field["signature"] = signature
+            doc["fields"][f"K{i}"] = field
+        for j in range(rng.randint(0, 4)):
+            i = rng.choice(names)
+            d = len(CORPUS_FIELDS[i][0]) - 1
+            doc["elements"][f"e{j}"] = {"field": f"K{i}", "coords": [rat(edit) for _ in range(d)]}
+        for j in range(rng.randint(0, 4)):
+            i = rng.choice(names)
+            d = len(CORPUS_FIELDS[i][0]) - 1
+            mode = rng.choice(["exact", "exact", "approx"])
+            terms = []
+            for _ in range(rng.randint(0, 12)):
+                if mode == "exact":
+                    re, im = rat(edit), rat(edit) if rng.random() < 0.4 else "0"
+                else:
+                    re, im = (repr(rng.uniform(-5, 5)) if rng.random() < 0.8 else
+                              rng.choice(["1e3", "0.1", "-0.0", "2"]) for _ in range(2))
+                terms.append({"index": [rat(edit) for _ in range(d)], "re": re, "im": im})
+            doc["algebra"][f"f{j}"] = {"field": f"K{i}", "mode": mode, "terms": terms}
+        for i in names:
+            if CORPUS_FIELDS[i][0][1:] == ["0", "1"]:  # x^2 + c
+                images = [["0", "1"], ["0", "-1"]]
+                if edit:
+                    images = [[_odd_form(rng, Fraction(c)) for c in im] for im in images]
+                doc["groups"][f"G{i}"] = {"field": f"K{i}", "images": images}
+        indent = 2 if rng.random() < 0.3 else None
+        yield json.dumps(doc, indent=indent, sort_keys=rng.random() < 0.5)
+
+
+def test_session_corpus_hash():
+    # the hash of the canonical rewrites was taken with the Fraction codec
+    # that the integer codec replaced, and a byte-identical dumps keeps it
+    h = hashlib.sha256()
+    for text in _corpus_texts():
+        out = Session.loads(text).dumps()
+        assert Session.loads(out).dumps() == out
+        h.update(out.encode())
+    assert h.hexdigest() == "a2f7ac9fc12ce594af810475e6f046a5bdbea5559e1836a46000668d1aa96f59"
+
+
+def test_codec_builds_no_fraction(monkeypatch):
+    # "p" and "p/q" entries, of any length, go between text and FieldElement
+    # or GaussRat as integers alone
+    K = define_field(Poly([Fraction(-1, 3), 0, 1]))
+    big = "-" + "7" * 5000
+    e_doc = {"field": "K", "coords": ["2/4", big + "/3"]}
+    f_doc = {"field": "K", "mode": "exact", "terms": [
+        {"index": ["1/6", "-5"], "re": "7/3", "im": "-1/2"},
+        {"index": ["0", "1/9"], "re": big, "im": "0"},
+        {"index": ["12", "0"], "re": "1", "im": big + "/3"}]}
+    e, f = element_from_json(e_doc, K), algebra_from_json(f_doc, K)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert element_from_json(e_doc, K) == e and algebra_from_json(f_doc, K) == f
+    e_out, f_out = element_to_json(e, "K"), algebra_to_json(f, "K")
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]  # the wrapper counts
+    monkeypatch.undo()
+    assert e_out == {"field": "K", "coords": ["1/2", big + "/3"]}
+    assert [t["index"] for t in f_out["terms"]] == [["0", "1/9"], ["1/6", "-5"], ["12", "0"]]
+    assert f_out["terms"][1]["re"] == "7/3" and f_out["terms"][2]["im"] == big + "/3"
+
+
+def _digits(k: int, seed: int) -> int:
+    """A k-digit integer, its digits drawn from a seeded generator."""
+    rng = random.Random(seed)
+    return rng.randint(1, 9) * 10 ** (k - 1) + rng.randrange(10 ** (k - 1))
+
+
+@given(st.integers(1, 9000), st.integers(0, 9000), st.integers(0, 99), st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(4299, 0, 1, False)
+@example(4300, 4299, 2, False)
+@example(4301, 4301, 3, True)
+@example(140000, 0, 4, True)
+def test_rat_str_round_trip_at_any_length(k, j, seed, negative):
+    # q = +-(k digits) / (j digits), an integer where j = 0
+    q = Fraction(_digits(k, seed), _digits(j, seed + 1) if j else 1) * (-1 if negative else 1)
+    text = rat_to_str(q)
+    assert rat_from_str(text) == q
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # str(Fraction) is the reference
+    try:
+        want = str(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == want
+
+
+@pytest.mark.parametrize("entry", [
+    {"elements": {"e": {"field": "K", "coords": [1, 2]}}},
+    {"elements": {"e": {"field": "K", "coords": ["1", True]}}},
+    {"algebra": {"f": {"field": "K", "mode": "exact",
+                       "terms": [{"index": ["0", 1.5], "re": "1", "im": "0"}]}}},
+    {"algebra": {"f": {"field": "K", "mode": "exact",
+                       "terms": [{"index": ["0", "1"], "re": 2, "im": "0"}]}}},
+])
+def test_numbers_in_place_of_rational_strings_rejected(entry):
+    # JSON numbers are not read as coordinates, though int() would take them
+    doc = {"fields": {"K": {"minpoly": ["-2", "0", "1"]}}, **entry}
+    with pytest.raises(SessionError, match="malformed session file: expected string"):
+        Session.loads(json.dumps(doc))
