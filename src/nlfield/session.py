@@ -57,7 +57,8 @@ def _str(n: int) -> str:
         k, hi = w // 2, m >> w // 2
         return dec(hi, w - k) * pow2(k) + dec(m - (hi << k), k)
 
-    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]):
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
         return "-" * (n < 0) + str(dec(abs(n), abs(n).bit_length()))
 
 
@@ -68,12 +69,6 @@ _PLAIN_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
 def nums_over_lcm(strs) -> tuple[list[int], int]:
     """Rational strings, each read as Fraction(str) reads it, as integer
     numerators over the lcm of their denominators."""
-    try:  # integers, the common case: a string int reads, Fraction reads alike
-        nums = [int(s) for s in strs if s.__class__ is str]
-        if len(nums) == len(strs):
-            return nums, 1
-    except ValueError:
-        pass
     pairs = []
     for s in strs:
         m = _PLAIN_RAT.match(s)
@@ -93,11 +88,6 @@ def rat_from_str(s: str) -> int | Fraction:
 
 def ratios_to_strs(nums, den: int) -> list[str]:
     """Each num / den, for den > 0, as "p" or "p/q" in lowest terms."""
-    try:
-        if den == 1:
-            return list(map(str, nums))
-    except ValueError:  # past the digit limit
-        pass
     return [_str(n // g) if g == den else f"{_str(n // g)}/{_str(den // g)}"
             for n in nums for g in (gcd(n, den),)]
 
