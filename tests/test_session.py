@@ -292,6 +292,7 @@ rat_texts = st.one_of(
 @example(quadratic_field(2), ["", "-1/6"])
 @example(quadratic_field(2), ["\u0663", "-1/6"])  # ARABIC-INDIC DIGIT THREE
 @example(quadratic_field(2), ["12"])
+@example(quadratic_field(2), ["+3", "\u0663"])
 @example(rationals(), [])
 def test_integer_decoder_matches_field_element(K, strs):
     # the value, or the exception type and message, of the Fraction reading
