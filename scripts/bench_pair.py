@@ -13,7 +13,7 @@ the change first in odd ones, so drift on the host falls on both sides
 alike.
 
 The output file holds every run's end-to-end metrics (those listed in
-BENCHMARK.json), the lines of src/nlfield/*.py in each tree
+BENCHMARK.json) and the load averages read just before it (`loadavg`), the lines of src/nlfield/*.py in each tree
 (`src_lines`), each side's median and quartiles per metric, per
 metric the number of pairs in which the change is strictly better, and
 per metric a verdict against the metric's bound in BENCHMARK.json:
@@ -64,15 +64,17 @@ def _src_lines(tree: str) -> int:
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One run of the benchmark in a checkout: its last stdout line."""
+    """One run of the benchmark in a checkout: its last stdout line, and the
+    host's 1, 5 and 15 minute load averages just before it started."""
+    loadavg = list(os.getloadavg())
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench/run.py failed in {tree}:\n{proc.stderr}")
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"seed": seed, "correct": doc["correct"], "attempted": doc["attempted"],
-            "failed": doc["failed"],
+    return {"seed": seed, "loadavg": loadavg, "correct": doc["correct"],
+            "attempted": doc["attempted"], "failed": doc["failed"],
             "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
 
 

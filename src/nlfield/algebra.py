@@ -10,8 +10,12 @@ distribute over one another; T is multiplicative under both.
 
 from __future__ import annotations
 
+from functools import reduce
+from math import lcm
+from operator import add, mul
+
 from . import coeffs
-from .coeffs import APPROX, EXACT
+from .coeffs import APPROX, EXACT, _gauss
 from .errors import (
     FieldMismatchError,
     ModeMismatchError,
@@ -118,42 +122,21 @@ class AlgebraElement:
 
     def cauchy(self, other: "AlgebraElement") -> "AlgebraElement":
         """Cauchy product: additive convolution of indices."""
-        self._check(other)
-        zero = coeffs.zero(self.mode)
-        out: dict = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                idx = i1 + i2
-                out[idx] = out.get(idx, zero) + c1 * c2
-        return _element(self.field, self.mode, out)
+        return _convolve(self, other, False)
 
     def dirichlet(self, other: "AlgebraElement") -> "AlgebraElement":
         """Dirichlet product: multiplicative convolution of nonzero indices,
         with constant term a0*sum(b) + b0*sum(a) + a0*b0 over nonzero
         indices of the partner."""
-        self._check(other)
-        zero_idx = self.field.zero
-        zero = coeffs.zero(self.mode)
-        out: dict = {}
-        sum_a = sum_b = zero
-        for i1, c1 in self.terms.items():
-            if i1.is_zero:
-                continue
-            sum_a = sum_a + c1
-            for i2, c2 in other.terms.items():
-                if i2.is_zero:
-                    continue
-                idx = i1 * i2
-                out[idx] = out.get(idx, zero) + c1 * c2
-        for i2, c2 in other.terms.items():
-            if not i2.is_zero:
-                sum_b = sum_b + c2
-        a0 = self.constant
-        b0 = other.constant
+        out = _convolve(self, other, True)
+        zero_idx, zero = self.field.zero, coeffs.zero(self.mode)
+        sum_a, sum_b = (reduce(add, (c for i, c in h.terms.items() if i != zero_idx), zero)
+                        for h in (self, other))
+        a0, b0 = self.terms.get(zero_idx, zero), other.terms.get(zero_idx, zero)
         d0 = a0 * sum_b + b0 * sum_a + a0 * b0
-        if d0:
-            out[zero_idx] = out.get(zero_idx, zero) + d0
-        return _element(self.field, self.mode, out)
+        if d0:  # no product of nonzero indices is zero
+            out.terms[zero_idx] = zero + d0
+        return out
 
     # -- trace, ideal, projectivization ------------------------------
 
@@ -174,6 +157,52 @@ class AlgebraElement:
         if not t:
             raise NotProjectivizableError("zero-trace element is not projectivizable")
         return ProjectiveClass(self.scale(coeffs.coerce(1, self.mode) / t))
+
+
+def _convolve(f: AlgebraElement, g: AlgebraElement, dirichlet: bool) -> AlgebraElement:
+    """The element of the nonzero sums of c1*c2 over index pairs at i1+i2
+    (Cauchy) or at i1*i2 over nonzero indices (Dirichlet), in the order in
+    which the pairs first reach each index.  It runs on integers: indices
+    as numerators over one denominator, coefficients as (x, y, den), approx
+    ones as float (re, im) over 1, and each sum as a list [x, y, den] that
+    starts at 0 and takes a term over another den over the lcm of the two.
+    A Dirichlet index is multiplied by the matrix of the left one."""
+    f._check(g)
+    field, exact = f.field, f.mode == EXACT
+    den = lcm(*(i.den for i in f.terms), *(i.den for i in g.terms))
+    left, right = ([(i.num if i.den == den else tuple([n * (den // i.den) for n in i.num]),
+                     *((c.x, c.y, c.den) if exact else (c.real, c.imag, 1)))
+                    for i, c in h.terms.items()] for h in (f, g))
+    if dirichlet:
+        left, right = ([t for t in side if any(t[0])] for side in (left, right))
+        table = field._mul_table
+    nums = [t[0] for t in right]
+    acc: dict = {}
+    for n1, x1, y1, d1 in left:
+        if dirichlet:
+            rows = [[sum(map(mul, n1, t)) for t in tr] for tr in table]
+            keys = [tuple([sum(map(mul, r, n2)) for r in rows]) for n2 in nums]
+        else:
+            keys = [tuple(map(add, n1, n2)) for n2 in nums]
+        for key, (_, x2, y2, d2) in zip(keys, right):
+            x, y, e = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2
+            s = acc.get(key)
+            if s is None:
+                acc[key] = [0 + x, 0 + y, e]
+            elif s[2] == e:
+                s[0] += x
+                s[1] += y
+            else:
+                m = lcm(s[2], e)
+                s[0], s[1], s[2] = (s[0] * (m // s[2]) + x * (m // e),
+                                    s[1] * (m // s[2]) + y * (m // e), m)
+    make = _gauss if exact else lambda x, y, _: complex(x, y)
+    index_den = field._reduction[0] * den * den if dirichlet else den
+    out = _new(AlgebraElement)
+    out.field, out.mode = field, f.mode
+    out.terms = {FieldElement(field, key, index_den): make(*s)
+                 for key, s in acc.items() if s[0] or s[1]}
+    return out
 
 
 class ProjectiveClass(_Frozen):

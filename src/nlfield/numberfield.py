@@ -409,6 +409,15 @@ class NumberField:
         r = _sign_changes(seq, -1) - _sign_changes(seq, 1)
         return r, (self.degree - r) // 2
 
+    @cached_property
+    def _mul_table(self) -> list[list[list[int]]]:
+        """Entry [r][j] lists coordinate r of x^i x^j (i < d) over the reduction
+        denominator; its dot product with a's numerators is that of a x^j."""
+        den, basis = self._reduction[0], self.power_basis()
+        prods = [[[c * (den // p.den) for c in p.num] for p in (u * v for u in basis)]
+                 for v in basis]
+        return [[[p[r] for p in row] for row in prods] for r in range(self.degree)]
+
     # -- constructors ------------------------------------------------
 
     def element(self, coords) -> "FieldElement":

@@ -16,13 +16,14 @@ import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log2
 
 from .algebra import AlgebraElement, _element
 from .coeffs import APPROX, EXACT, _gauss
 from .errors import SessionError
 from .galois import Automorphism, GaloisGroup
 from .numberfield import FieldElement, NumberField, define_field
+from .parser import MAX_POWER_BITS
 from .polys import Poly
 
 _KINDS = ("fields", "elements", "algebra", "groups")
@@ -66,6 +67,9 @@ def _str(n: int) -> str:
 _PLAIN_RAT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
 # unpadded "p", which _PLAIN_RAT reads as (s, None)
 _PLAIN_INT = re.compile(r"[+-]?\d+\Z")
+# Fraction builds 10^|e| in full: past MAX_POWER_BITS bits it is refused
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+_MAX_EXPONENT = int(MAX_POWER_BITS / log2(10))
 
 
 def nums_over_lcm(strs) -> tuple[list[int], int]:
@@ -78,6 +82,8 @@ def nums_over_lcm(strs) -> tuple[list[int], int]:
         m = _PLAIN_RAT.match(s)
         den = m and _int(m[2] or "1")
         # Fraction reads what is not "p" or "p/q", and refuses a zero denominator
+        if not den and (e := _EXPONENT.search(s)) and int(e[1].replace("_", "")) > _MAX_EXPONENT:
+            raise ValueError(f"exponent above {MAX_POWER_BITS} bits: {s!r}")
         pairs.append((_int(m[1]), den) if den else Fraction(s).as_integer_ratio())
     den = lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den

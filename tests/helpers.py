@@ -1,10 +1,12 @@
-"""Code that only the tests use: an mpmath oracle for root enclosures and
-the parser's fully parenthesised printer."""
+"""Code that only the tests use: an mpmath oracle for root enclosures,
+the parser's fully parenthesised printer and the algebra products as
+`FieldElement` and coefficient loops."""
 
 from fractions import Fraction
 
 import mpmath
 
+from nlfield import coeffs
 from nlfield.intervals import Ball
 from nlfield.numberfield import Place, _bits, _newton, _over_common_denominator, refine
 from nlfield.parser import BinOp, Gen, Imag, Mono, Neg, Num, Pow
@@ -76,3 +78,43 @@ def print_ast(node) -> str:
     if isinstance(node, Mono):
         return f"z^{{{print_ast(node.index)}}}"
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def oracle_cauchy(f, g) -> dict:
+    """The terms of `AlgebraElement.cauchy` as the loop over index pairs
+    that it was before the integer kernel, zero sums dropped."""
+    f._check(g)
+    zero = coeffs.zero(f.mode)
+    out: dict = {}
+    for i1, c1 in f.terms.items():
+        for i2, c2 in g.terms.items():
+            idx = i1 + i2
+            out[idx] = out.get(idx, zero) + c1 * c2
+    return {i: c for i, c in out.items() if c}
+
+
+def oracle_dirichlet(f, g) -> dict:
+    """The terms of `AlgebraElement.dirichlet`, likewise."""
+    f._check(g)
+    zero_idx = f.field.zero
+    zero = coeffs.zero(f.mode)
+    out: dict = {}
+    sum_a = sum_b = zero
+    for i1, c1 in f.terms.items():
+        if i1.is_zero:
+            continue
+        sum_a = sum_a + c1
+        for i2, c2 in g.terms.items():
+            if i2.is_zero:
+                continue
+            idx = i1 * i2
+            out[idx] = out.get(idx, zero) + c1 * c2
+    for i2, c2 in g.terms.items():
+        if not i2.is_zero:
+            sum_b = sum_b + c2
+    a0 = f.constant
+    b0 = g.constant
+    d0 = a0 * sum_b + b0 * sum_a + a0 * b0
+    if d0:
+        out[zero_idx] = out.get(zero_idx, zero) + d0
+    return {i: c for i, c in out.items() if c}

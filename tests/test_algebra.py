@@ -1,15 +1,19 @@
 """The field algebra: two products, trace, ideal, projectivization."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_cauchy, oracle_dirichlet
 from nlfield.algebra import AlgebraElement, ProjectiveClass, monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
-from nlfield.errors import NotProjectivizableError
-from nlfield.numberfield import quadratic_field, rationals
+from nlfield.errors import FieldMismatchError, ModeMismatchError, NotProjectivizableError
+from nlfield.numberfield import cyclotomic_field, define_field, quadratic_field, rationals
+from nlfield.polys import Poly
 
 
 def zeta(n):
@@ -222,3 +226,108 @@ def test_operations_build_what_the_public_constructor_builds(ta, tb, mode, lam):
     for h in (f.cauchy(g), f.dirichlet(g), f + g, f - g, -f, f.scale(lam)):
         assert h == AlgebraElement(K, mode, h.terms)
         assert all(c and type(c) is kind for c in h.terms.values())
+
+
+# -- the integer product kernel against the loops it replaced ------------
+
+# a sextic with a rational minimal polynomial, so its reduction table has
+# a denominator (18)
+SEXTIC = Poly([Fraction(1, 2), 0, -3, Fraction(5, 3), 0, 0, 1])
+PRODUCT_FIELDS = {
+    "Q": rationals(), "Q(sqrt2)": quadratic_field(2), "Q(zeta5)": cyclotomic_field(5),
+    "sextic": define_field(SEXTIC),
+}
+
+
+def raw_algebra(K, mode, raw):
+    """An element from raw terms (six index coordinates, of which the
+    first K.degree are read, and (p, q, r, s) for the coefficient p/q +
+    (r/s)i).  An approx part p = 0 is -0.0 where q is odd."""
+    terms = {}
+    for idx, (p, q, r, s) in raw:
+        if mode == EXACT:
+            c = GaussRat(Fraction(p, q), Fraction(r, s))
+        else:
+            c = complex(p / q if p else (-0.0 if q % 2 else 0.0), r / s)
+        terms[K.element(list(idx[:K.degree]))] = c
+    return AlgebraElement(K, mode, terms)
+
+
+def coprime_terms(n, seed):
+    """n terms whose coefficient denominators are distinct primes."""
+    rng = random.Random(seed)
+    primes = [q for q in range(2, 2000) if all(q % k for k in range(2, int(q ** 0.5) + 1))]
+    rng.shuffle(primes)
+    return [(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)),
+             (rng.randint(-9, 9) or 1, primes[2 * j], rng.randint(-9, 9), primes[2 * j + 1]))
+            for j in range(n)]
+
+
+small_fracs = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 6))
+raw_terms = st.lists(
+    st.tuples(st.tuples(*[small_fracs] * 6),
+              st.tuples(st.integers(-9, 9), st.integers(1, 12),
+                        st.integers(-9, 9), st.integers(1, 12))),
+    max_size=7,
+)
+HALF, THIRD, ZERO = (Fraction(1, 2),) * 6, (Fraction(1, 3),) * 6, (Fraction(0),) * 6
+
+
+@given(st.sampled_from(sorted(PRODUCT_FIELDS)), st.sampled_from([EXACT, APPROX]),
+       raw_terms, raw_terms)
+@settings(max_examples=300, deadline=None)
+@example("sextic", EXACT, [(HALF, (1, 2, 3, 4))], [(THIRD, (5, 6, -7, 8)), (HALF, (1, 1, 0, 1))])
+@example("Q(zeta5)", APPROX, [(HALF, (1, 2, 3, 4))], [(THIRD, (0, 3, -7, 8))])
+@example("Q(sqrt2)", EXACT, [(ZERO, (2, 1, 0, 1)), (HALF, (1, 3, 1, 5))], [(THIRD, (3, 1, 1, 1))])
+@example("Q(sqrt2)", APPROX, [(HALF, (1, 3, 1, 5))], [(ZERO, (0, 1, 1, 1)), (THIRD, (3, 1, 0, 2))])
+@example("Q", EXACT, [(ZERO, (2, 1, 0, 1)), (HALF, (1, 1, 0, 1))], [(ZERO, (3, 5, 1, 7))])
+@example("Q", APPROX, [(ZERO, (2, 1, 0, 1))], [(ZERO, (0, 5, 1, 7)), (THIRD, (1, 1, 1, 1))])
+@example("Q(zeta5)", EXACT, [], [(HALF, (1, 2, 3, 4))])
+@example("sextic", APPROX, [(ZERO, (1, 1, 1, 1))], [])
+@example("Q(sqrt2)", EXACT, coprime_terms(120, 1), coprime_terms(120, 2))
+@example("Q(zeta5)", APPROX, coprime_terms(120, 3), coprime_terms(120, 4))
+def test_products_match_the_loop_oracle(name, mode, tf, tg):
+    """Both products give the terms of the FieldElement and coefficient
+    loops they replaced, in the same order, and approx values of the same
+    repr, signed zeros included."""
+    K = PRODUCT_FIELDS[name]
+    f, g = raw_algebra(K, mode, tf), raw_algebra(K, mode, tg)
+    for got, want in ((f.cauchy(g), oracle_cauchy(f, g)), (f.dirichlet(g), oracle_dirichlet(f, g))):
+        assert list(got.terms.items()) == list(want.items())
+        assert list(map(repr, got.terms.values())) == list(map(repr, want.values()))
+
+
+def product_corpus():
+    """Seeded exact and approx operand pairs over the four fields above,
+    with coefficient denominators 1-12 and index denominators 1-6."""
+    rng = random.Random(2303)
+    for name in sorted(PRODUCT_FIELDS):
+        K = PRODUCT_FIELDS[name]
+        for mode in (EXACT, APPROX):
+            for n in range(24):
+                f, g = (raw_algebra(K, mode, [
+                    (tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(6)),
+                     (rng.randint(-9, 9), rng.randint(1, 12), rng.randint(-9, 9), rng.randint(1, 12)))
+                    for _ in range(rng.randint(0, 3 + n % 8))]) for _ in "fg")
+                yield f, g
+
+
+def test_product_corpus_hash():
+    """The terms, in order, of every Cauchy and Dirichlet product of the
+    corpus; the hash was taken with the loops the integer kernel replaced."""
+    h = hashlib.sha256()
+    for f, g in product_corpus():
+        for prod in (f.cauchy(g), f.dirichlet(g)):
+            for i, c in prod.terms.items():
+                h.update(repr((i.num, i.den, (c.x, c.y, c.den) if f.mode == EXACT else c)).encode())
+            h.update(b";")
+    assert h.hexdigest() == "cb0e1291e3242aea8b429a55d9df33b0b5a20c7e37a958c9a019277ba9c660d5"
+
+
+def test_products_refuse_mixed_fields_and_modes():
+    f = monomial(quadratic_field(2).gen)
+    for g, error in ((monomial(quadratic_field(3).gen), FieldMismatchError),
+                     (monomial(quadratic_field(2).gen, 1, APPROX), ModeMismatchError)):
+        for op in (f.cauchy, f.dirichlet, g.cauchy, g.dirichlet):
+            with pytest.raises(error):
+                op(g if op.__self__ is f else f)

@@ -3,7 +3,9 @@ decide every performance claim recorded in a BENCH file.  The script is
 read here, never changed."""
 
 import importlib.util
+import json
 import pathlib
+import types
 
 import pytest
 
@@ -37,3 +39,25 @@ def test_verdict(bench_pair, parent, change, direction, bound, wins, verdict):
 def test_seeds(bench_pair):
     assert bench_pair._seeds("401-403") == [401, 402, 403]
     assert bench_pair._seeds("5,7") == [5, 7]
+
+
+def test_run_records_the_load_average_before_the_run(bench_pair, monkeypatch):
+    events = []
+
+    def getloadavg():
+        events.append("loadavg")
+        return (1.5, 0.75, 0.25)
+
+    def run(argv, cwd, capture_output, text):
+        events.append("run")
+        line = {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+        return types.SimpleNamespace(returncode=0, stdout="log\n" + json.dumps(line) + "\n",
+                                     stderr="")
+
+    monkeypatch.setattr(bench_pair.os, "getloadavg", getloadavg)
+    monkeypatch.setattr(bench_pair.subprocess, "run", run)
+    entry = bench_pair._run("tree", "exact-products", 7, 25)
+    assert events == ["loadavg", "run"]
+    assert entry == {"seed": 7, "loadavg": [1.5, 0.75, 0.25], "correct": True,
+                     "attempted": 3, "failed": 0, "metrics": {"wall_s": 0.5}}

@@ -425,6 +425,27 @@ def test_dirichlet_csv_error_exits_2(tmp_path, capsys, monkeypatch):
     assert csv.field_size_limit() == limit
 
 
+def test_exponent_notation_past_the_bound_exits_2(tmp_path, capsys):
+    """--minpoly, a session file and a dirichlet CSV refuse 1e999999999 at
+    once, where Fraction would build 10^999999999."""
+    big = "1e999999999"
+    sess = tmp_path / "s.json"
+    assert run(capsys, "--session", str(sess), "field", "new", "--name", "K",
+               "--quadratic", "2")[0] == 0
+    doc = json.loads(sess.read_text())
+    doc["fields"]["K"]["minpoly"][0] = big
+    sess.write_text(json.dumps(doc))
+    (tmp_path / "f.csv").write_text(f"n,re,im\n1,1,0\n2,{big},0\n")
+    t0 = time.perf_counter()
+    for argv in (["elem", "eval", "a", f"--minpoly={big},0,1"],
+                 ["--session", str(sess), "field", "list"],
+                 ["dirichlet", "invert", "--in", str(tmp_path / "f.csv"), "--N", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None
+        assert err == f"error: exponent above 131072 bits: {big!r}\n"
+    assert time.perf_counter() - t0 < 5
+
+
 @pytest.mark.parametrize("opts, message", [
     (["--quadratic", "0"], "reducible"),
     (["--quadratic", "0", "--cyclotomic", "4"], "reducible"),

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import random
+import re
 import sys
+import time
 from fractions import Fraction
+from math import log2
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,9 +24,10 @@ from nlfield.numberfield import (
     quadratic_field,
     rationals,
 )
-from nlfield.parser import parse_algebra
+from nlfield.parser import MAX_POWER_BITS, parse_algebra
 from nlfield.polys import Poly
 from nlfield.session import (
+    _MAX_EXPONENT,
     Session,
     algebra_from_json,
     algebra_to_json,
@@ -181,6 +185,25 @@ def test_rat_from_str_reads_what_fraction_reads(text):
     assert type(q) is (int if q.denominator == 1 else Fraction)
 
 
+@pytest.mark.parametrize("text", ["1e10", "-2.5e-3", "3E+2", f"1e{_MAX_EXPONENT}",
+                                  f"1e-{_MAX_EXPONENT}", "1e1_0"])
+def test_exponent_notation_within_the_bound_reads_as_fraction(text):
+    assert rat_from_str(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e999999999", f"1e{_MAX_EXPONENT + 1}", "-2.5E-1_000_000",
+                                  "1e99999999999999999999", " 7e400000 "])
+def test_exponent_notation_past_the_bound_is_refused_at_once(text):
+    """Fraction would build 10^|e| in full: 10^999999999 takes hours and
+    about 415 MB, so the refusal must come before it."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent above 131072 bits"):
+        nums_over_lcm(["1/2", text])
+    assert time.perf_counter() - t0 < 5
+    assert (10 ** _MAX_EXPONENT).bit_length() <= MAX_POWER_BITS
+    assert (10 ** (_MAX_EXPONENT + 1)).bit_length() > MAX_POWER_BITS
+
+
 def test_rat_from_str_past_the_str_digit_limit():
     # 5000 and 4400 digits, past the 4300 that int(str) allows
     assert rat_from_str("1" * 5000) == (10 ** 5000 - 1) // 9
@@ -269,6 +292,15 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _bounded_fraction(s: str) -> Fraction:
+    """Fraction(s), except that a string ending in an exponent e with
+    10^|e| longer than MAX_POWER_BITS bits is refused with a ValueError."""
+    m = re.search(r"[eE][-+]?(\d[\d_]*)\s*\Z", s)
+    if m and int(m[1].replace("_", "")) * log2(10) > MAX_POWER_BITS:
+        raise ValueError(f"exponent above {MAX_POWER_BITS} bits: {s!r}")
+    return Fraction(s)
+
+
 rat_texts = st.one_of(
     st.fractions().map(str),
     st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 6)).map(
@@ -296,7 +328,8 @@ rat_texts = st.one_of(
 @example(rationals(), [])
 def test_integer_decoder_matches_field_element(K, strs):
     # the value, or the exception type and message, of the Fraction reading
-    want = _outcome(lambda: K.element([Fraction(s) for s in strs]))
+    # (of the bounded one, for exponents: see _bounded_fraction)
+    want = _outcome(lambda: K.element([_bounded_fraction(s) for s in strs]))
     assert _outcome(lambda: K.element([rat_from_str(s) for s in strs])) == want
     assert _outcome(lambda: K.from_integers(*nums_over_lcm(strs))) == want
     if len(strs) == 2:  # an exact coefficient re + im i
