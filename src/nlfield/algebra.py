@@ -130,7 +130,7 @@ class AlgebraElement:
         indices of the partner."""
         out = _convolve(self, other, True)
         zero_idx, zero = self.field.zero, coeffs.zero(self.mode)
-        sum_a, sum_b = (reduce(add, (c for i, c in h.terms.items() if i != zero_idx), zero)
+        sum_a, sum_b = (reduce(add, (c for i, c in h.terms.items() if any(i.num)), zero)
                         for h in (self, other))
         a0, b0 = self.terms.get(zero_idx, zero), other.terms.get(zero_idx, zero)
         d0 = a0 * sum_b + b0 * sum_a + a0 * b0
@@ -200,8 +200,8 @@ def _convolve(f: AlgebraElement, g: AlgebraElement, dirichlet: bool) -> AlgebraE
     index_den = field._reduction[0] * den * den if dirichlet else den
     out = _new(AlgebraElement)
     out.field, out.mode = field, f.mode
-    out.terms = {FieldElement(field, key, index_den): make(*s)
-                 for key, s in acc.items() if s[0] or s[1]}
+    out.terms = {FieldElement(field, key, index_den): make(x, y, e)
+                 for key, (x, y, e) in acc.items() if x or y}
     return out
 
 

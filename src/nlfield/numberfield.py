@@ -435,11 +435,11 @@ class NumberField:
 
     @property
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        return FieldElement(self, (0,) * self.degree)
 
     @property
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
 
     @property
     def gen(self) -> "FieldElement":
@@ -499,8 +499,7 @@ class FieldElement:
 
     def __init__(self, field: NumberField, num, den: int = 1):
         assert len(num) == field.degree and den > 0
-        g = gcd(*num, den)
-        if g != 1:
+        if den != 1 and (g := gcd(*num, den)) != 1:
             num, den = [c // g for c in num], den // g
         self.field = field
         self.num = tuple(num)
