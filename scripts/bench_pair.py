@@ -2,7 +2,7 @@
 """Benchmark a change against its parent in alternating pairs of runs.
 
     python3 scripts/bench_pair.py --workload sign-certify --seeds 401-410 \\
-        --out BENCH_6.json [--base HEAD^] [--workdir DIR]
+        --out BENCH_6.json [--base HEAD^] [--workdir DIR] [--trace-out PATH]
 
 The parent revision (--base) is exported with `git archive` into a
 temporary directory, which is removed afterwards; the change is the
@@ -25,6 +25,11 @@ per metric a verdict against the metric's bound in BENCHMARK.json:
     better        the change wins at least 9 in 10 pairs and its median
                   is better by more than the parent's IQR
     within bound  every other case
+
+With --trace-out, one `perfbench/run.py --trace 1` run per side on the
+first seed, from the same parent export, writes the per-layer record to
+PATH as {"command", "parent", "change"}, each side its run's last stdout
+line.
 """
 
 import argparse
@@ -63,19 +68,34 @@ def _src_lines(tree: str) -> int:
     return total
 
 
+def _bench(tree: str, argv: list[str]) -> dict:
+    """The last stdout line of perfbench/run.py with argv, in a checkout."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench/run.py failed in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _argv(workload: str, seed: int, seconds: float) -> list[str]:
+    return ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+
+
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One run of the benchmark in a checkout: its last stdout line, and the
     host's 1, 5 and 15 minute load averages just before it started."""
     loadavg = list(os.getloadavg())
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"perfbench/run.py failed in {tree}:\n{proc.stderr}")
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    doc = _bench(tree, _argv(workload, seed, seconds))
     return {"seed": seed, "loadavg": loadavg, "correct": doc["correct"],
             "attempted": doc["attempted"], "failed": doc["failed"],
             "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
+
+
+def _trace(trees: dict, workload: str, seed: int, seconds: float) -> dict:
+    """One traced run per side, parent first, as the trace files hold them."""
+    argv = _argv(workload, seed, seconds) + ["--trace", "1"]
+    return {"command": " ".join(["python3", "perfbench/run.py", *argv]),
+            **{side: _bench(tree, argv) for side, tree in trees.items()}}
 
 
 def _summary(values: list[float]) -> dict:
@@ -99,6 +119,12 @@ def _verdict(parent: list[float], change: list[float], direction: str, bound: fl
     return "within bound"
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -106,6 +132,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--base", default="HEAD^", help="parent revision (default HEAD^)")
     ap.add_argument("--workdir", help="where the temporary parent export goes")
+    ap.add_argument("--trace-out", help="also write a traced run per side on the first seed here")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -126,13 +153,16 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         src_lines = {side: _src_lines(tree) for side, tree in trees.items()}
-        for i, seed in enumerate(_seeds(args.seeds)):
+        seeds = _seeds(args.seeds)
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(_run(trees[side], args.workload, seed, seconds))
             p, c = (runs[s][-1]["metrics"]["wall_s"] for s in ("parent", "change"))
             print(f"pair {i + 1} seed {seed}: wall_s parent {p:.3f} change {c:.3f}",
                   file=sys.stderr)
+        if args.trace_out:
+            trace = _trace(trees, args.workload, seeds[0], seconds)
     finally:
         shutil.rmtree(tmp)
 
@@ -157,9 +187,9 @@ def main(argv=None) -> int:
         "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary,
         "change_wins": wins, "verdict": verdict, "runs": runs,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, doc)
+    if args.trace_out:
+        _write_json(args.trace_out, trace)
     for name in better:
         s = summary[name]
         print(f"{name:12s} parent {s['parent']['median']:.4g} (iqr {s['parent']['iqr']:.3g})"

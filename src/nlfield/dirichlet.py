@@ -4,10 +4,10 @@ The rational field's algebra restricted to positive integer indices is
 the classical setting: c_n = sum_{d|n} a_d b_{n/d}, Moebius-style
 inversion by the standard recursion, and the finite Mellin evaluation
 D_f(y) = sum a_n n^(-2 pi i y).  Convolution and inversion run in
-sieve order, over the multiples of each nonzero coefficient's index;
-`divisors_of` enumerates divisors through a smallest-prime-factor sieve.
-Below MAX_SCALE, exact mode runs on Gaussian integers over a common
-denominator and divides by a_1 exactly in Z[i]; past it, on `GaussRat`.
+sieve order, over the multiples of each nonzero coefficient's index, and
+enumerate no divisors: only its test and the benchmark tracer keep
+`divisors_of`.  Below MAX_SCALE, exact mode runs on a series' integer
+form and divides by a_1 exactly in Z[i]; past it, on `GaussRat`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import count
 
 from . import coeffs
 from .algebra import AlgebraElement, _element
-from .coeffs import EXACT, _gauss
+from .coeffs import EXACT, _gauss, _new
 from .errors import NotInvertibleError
 from .numberfield import rationals
 
@@ -52,20 +53,45 @@ def divisors_of(n: int, bound: int) -> list[int]:
 
 
 class IntegerSeries:
-    """Coefficients a_1..a_N of a Dirichlet series truncated at N."""
+    """Coefficients a_1..a_N of a Dirichlet series truncated at N.
 
-    __slots__ = ("N", "mode", "a", "_terms")
+    An exact series has one integer form (xs, ys, den), a_n = (xs[n-1] +
+    i ys[n-1])/den with gcd(*xs, *ys, den) = 1, or none where den reaches
+    MAX_SCALE.  Kernel outputs hold only that form; `a`, the `GaussRat`
+    view, is built on first read."""
+
+    __slots__ = ("N", "mode", "_a", "_int", "_terms")
 
     def __init__(self, N: int, values, mode: str = EXACT):
         if N < 1:
             raise ValueError("truncation bound must be at least 1")
-        self.N = N
-        self.mode = mode
         vals = list(values)
         if len(vals) != N:
             raise ValueError(f"need {N} coefficients, got {len(vals)}")
-        self.a = [coeffs.coerce(v, mode) for v in vals]
-        self._terms = None
+        self.N, self.mode, self._a, self._int, self._terms = (
+            N, mode, [coeffs.coerce(v, mode) for v in vals], None, None)
+
+    @property
+    def a(self) -> list:
+        if self._a is None:
+            self._a = self._head(None)
+        return self._a
+
+    def _head(self, stop) -> list:
+        """a[:stop], read from the integer form unless `a` is built."""
+        if self._a is not None:
+            return self._a[:stop]
+        xs, ys, den = self._int
+        return [_gauss(x, y, den) for x, y in zip(xs[:stop], ys[:stop])]
+
+    def _int_form(self) -> tuple:
+        """The integer form, found on first use; () in approx mode or past MAX_SCALE."""
+        if self._int is None:
+            a = self._a
+            den = _lcm_below({c.den for c in a}) if self.mode == EXACT else 0
+            self._int = ([c.x * (den // c.den) for c in a], [c.y * (den // c.den) for c in a],
+                         den) if den else ()
+        return self._int
 
     def __getitem__(self, n: int):
         if not 1 <= n <= self.N:
@@ -73,15 +99,14 @@ class IntegerSeries:
         return self.a[n - 1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntegerSeries)
-            and self.N == other.N
-            and self.mode == other.mode
-            and self.a == other.a
-        )
+        if not (isinstance(other, IntegerSeries) and self.N == other.N
+                and self.mode == other.mode):
+            return False
+        p, q = self._int_form(), other._int_form()
+        return p == q if p and q else self.a == other.a
 
     def __repr__(self):
-        head = ", ".join(repr(c) for c in self.a[:6])
+        head = ", ".join(repr(c) for c in self._head(6))
         tail = ", ..." if self.N > 6 else ""
         return f"IntegerSeries(N={self.N}, [{head}{tail}])"
 
@@ -95,7 +120,9 @@ class IntegerSeries:
         return IntegerSeries(N, [1] * N, mode)
 
     def support(self) -> list[int]:
-        return [n for n, c in enumerate(self.a, 1) if c]
+        if self._a is None:
+            return [n for n, _, _ in _nonzero(*self._int[:2])]
+        return [n for n, c in enumerate(self._a, 1) if c]
 
     def log_terms(self) -> list[tuple]:
         """(log n, complex a_n) for every nonzero a_n, built on first use;
@@ -132,20 +159,29 @@ def to_algebra(s: IntegerSeries) -> AlgebraElement:
 MAX_SCALE = 2 ** 64
 
 
-def _den_below(s: IntegerSeries, bound) -> int:
-    """The lcm of the dens if it is below bound, else 0, found before the
-    lcm grows large."""
-    D = 1
-    for d in {c.den for c in s.a}:
-        D = math.lcm(D, d)
-        if D >= bound:
+def _lcm_below(dens) -> int:
+    """The lcm of dens, or 0 once it reaches MAX_SCALE, before it grows large."""
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den >= MAX_SCALE:
             return 0
-    return D
+    return den
 
 
-def _scaled(s: IntegerSeries, D: int) -> list:
-    """(n, x, y) with x + iy = D a_n for each a_n != 0; every den divides D."""
-    return [(n, c.x * (D // c.den), c.y * (D // c.den)) for n, c in enumerate(s.a, 1) if c]
+def _series(N: int, mode: str, a=None, form=None) -> IntegerSeries:
+    """A kernel output from its coefficients `a`, which skip `coerce`, or
+    from an integer form, reduced here by one gcd."""
+    if form and (g := math.gcd(*form[0], *form[1], form[2])) != 1:
+        form = [x // g for x in form[0]], [y // g for y in form[1]], form[2] // g
+    s = _new(IntegerSeries)
+    s.N, s.mode, s._a, s._int, s._terms = N, mode, a, form, None
+    return s
+
+
+def _nonzero(xs, ys, start: int = 1) -> list:
+    """(n, x, y) for each x + iy != 0, n counting from start."""
+    return [(n, x, y) for n, x, y in zip(count(start), xs, ys) if x or y]
 
 
 def _push(re, im, n, x, y, terms, N):
@@ -164,13 +200,12 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
     if f.N != g.N or f.mode != g.mode:
         raise ValueError("series must share bound and mode")
     N = f.N
-    if f.mode == EXACT:
-        Df, Dg = _den_below(f, MAX_SCALE), _den_below(g, MAX_SCALE)
-        if 0 < Df * Dg < MAX_SCALE:
-            re, im, gs = [0] * (N + 1), [0] * (N + 1), _scaled(g, Dg)
-            for d, x, y in _scaled(f, Df):
-                _push(re, im, d, x, y, gs, N)
-            return IntegerSeries(N, [_gauss(x, y, Df * Dg) for x, y in zip(re[1:], im[1:])])
+    F, G = f._int_form(), g._int_form()
+    if F and G and F[2] * G[2] < MAX_SCALE:
+        re, im, gs = [0] * (N + 1), [0] * (N + 1), _nonzero(*G[:2])
+        for d, x, y in _nonzero(*F[:2]):
+            _push(re, im, d, x, y, gs, N)
+        return _series(N, EXACT, form=(re[1:], im[1:], F[2] * G[2]))
     out = [coeffs.zero(f.mode)] * (N + 1)
     bs = [(k, c) for k, c in enumerate(g.a, 1) if c]
     for d, ad in enumerate(f.a, 1):
@@ -181,7 +216,7 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
             if k > top:
                 break
             out[d * k] = out[d * k] + ad * bk
-    return IntegerSeries(N, out[1:], f.mode)
+    return _series(N, f.mode, out[1:])
 
 
 def dinvert(f: IntegerSeries) -> IntegerSeries:
@@ -191,16 +226,16 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
     Below MAX_SCALE, exact mode finds the Gaussian integers B_n = b_n |u|^(2L)/D
     for F = D a, u = F_1 and L = N.bit_length() > Omega(n), dividing exactly in
     Z[i]: u B_n = |u|^(2L) [n = 1] - sum_{d|n, d<n} F_{n/d} B_d."""
-    if not f[1]:
+    N, F = f.N, f._int_form()
+    if not ((F[0][0] or F[1][0]) if F else f.a[0]):
         raise NotInvertibleError("leading coefficient a_1 is zero")
-    N = f.N
-    if f.mode == EXACT:
-        D, a1 = _den_below(f, MAX_SCALE), f[1]
-        ux, uy = a1.x * (D // a1.den), a1.y * (D // a1.den)
+    if F:
+        xs, ys, D = F
+        ux, uy = xs[0], ys[0]
         n2 = ux * ux + uy * uy
         scale = n2 ** N.bit_length()
-        if 0 < scale < MAX_SCALE:
-            tail = _scaled(f, D)[1:]
+        if scale < MAX_SCALE:
+            tail = _nonzero(xs[1:], ys[1:], 2)
             # s holds -u B_n, and B_n from step n on
             sx, sy = [0] * (N + 1), [0] * (N + 1)
             sx[1] = -scale
@@ -209,7 +244,7 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
                 x, y = sx[n], sy[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
                 if x or y:
                     _push(sx, sy, n, x, y, tail, N)
-            return IntegerSeries(N, [_gauss(D * x, D * y, scale) for x, y in zip(sx[1:], sy[1:])])
+            return _series(N, EXACT, form=([D * x for x in sx[1:]], [D * y for y in sy[1:]], scale))
     inv_a1 = coeffs.coerce(1, f.mode) / f[1]
     acc = [coeffs.zero(f.mode)] * (N + 1)
     b = [coeffs.zero(f.mode)] * (N + 1)
@@ -225,7 +260,7 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
             if k > top:
                 break
             acc[n * k] = acc[n * k] + b[n] * ak
-    return IntegerSeries(N, b[1:], f.mode)
+    return _series(N, f.mode, b[1:])
 
 
 def mellin_eval(f: IntegerSeries, y: float) -> complex:

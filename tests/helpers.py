@@ -1,7 +1,10 @@
 """Code that only the tests use: an mpmath oracle for root enclosures,
-the parser's fully parenthesised printer and the algebra products as
-`FieldElement` and coefficient loops."""
+the parser's fully parenthesised printer, the algebra products as
+`FieldElement` and coefficient loops, the approx Dirichlet loops as they
+were before series carried an integer form, and the per-`GaussRat`
+series CSV writer."""
 
+import csv
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +13,7 @@ from nlfield import coeffs
 from nlfield.intervals import Ball
 from nlfield.numberfield import Place, _bits, _newton, _over_common_denominator, refine
 from nlfield.parser import BinOp, Gen, Imag, Mono, Neg, Num, Pow
+from nlfield.session import ratios_to_strs
 
 
 def _dyadic(x, k: int) -> int:
@@ -118,3 +122,50 @@ def oracle_dirichlet(f, g) -> dict:
     if d0:
         out[zero_idx] = out.get(zero_idx, zero) + d0
     return {i: c for i, c in out.items() if c}
+
+
+def oracle_dconv_approx(a: list, b: list) -> list:
+    """The approx `dirichlet.dconv` loop on coefficient lists a_1..a_N."""
+    N = len(a)
+    out = [0j] * (N + 1)
+    bs = [(k, c) for k, c in enumerate(b, 1) if c]
+    for d, ad in enumerate(a, 1):
+        if not ad:
+            continue
+        top = N // d
+        for k, bk in bs:
+            if k > top:
+                break
+            out[d * k] = out[d * k] + ad * bk
+    return out[1:]
+
+
+def oracle_dinvert_approx(a: list) -> list:
+    """The approx `dirichlet.dinvert` loop, for a_1 != 0."""
+    N = len(a)
+    inv_a1 = complex(1) / a[0]
+    acc = [0j] * (N + 1)
+    b = [0j] * (N + 1)
+    b[1] = inv_a1
+    tail = [(k, c) for k, c in enumerate(a[1:], 2) if c]
+    for n in range(1, N + 1):
+        if n > 1:
+            b[n] = -(acc[n] * inv_a1)
+        if not b[n]:
+            continue
+        top = N // n
+        for k, ak in tail:
+            if k > top:
+                break
+            acc[n * k] = acc[n * k] + b[n] * ak
+    return b[1:]
+
+
+def write_series_by_gauss(path: str, s) -> None:
+    """The CLI's `--out` writer as it was: one row per nonzero `GaussRat`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "re", "im"])
+        for n in s.support():
+            c = s[n]
+            w.writerow([n, *ratios_to_strs((c.x, c.y), c.den)])

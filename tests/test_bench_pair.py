@@ -5,6 +5,7 @@ read here, never changed."""
 import importlib.util
 import json
 import pathlib
+import sys
 import types
 
 import pytest
@@ -61,3 +62,56 @@ def test_run_records_the_load_average_before_the_run(bench_pair, monkeypatch):
     assert events == ["loadavg", "run"]
     assert entry == {"seed": 7, "loadavg": [1.5, 0.75, 0.25], "correct": True,
                      "attempted": 3, "failed": 0, "metrics": {"wall_s": 0.5}}
+
+
+METRICS = [m["name"] for m in json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+           ["end_to_end"]]
+
+
+def _fake_bench(calls):
+    """A stand-in for perfbench/run.py: records (argv, cwd), answers with
+    the checkout and the seed it ran in."""
+    def run(argv, cwd, capture_output, text):
+        calls.append((argv[2:], cwd))
+        seed = int(argv[argv.index("--seed") + 1])
+        metrics = {name: {"value": float(seed), "unit": "-"} for name in METRICS}
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {**metrics, "tree": {"value": cwd, "unit": "path"}}}
+        return types.SimpleNamespace(returncode=0, stdout=json.dumps(line) + "\n", stderr="")
+    return run
+
+
+def test_trace_runs_one_traced_pass_per_side(bench_pair, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pair.subprocess, "run", _fake_bench(calls))
+    doc = bench_pair._trace({"parent": "p", "change": "c"}, "dirichlet-series", 2401, 25)
+    argv = ["--workload", "dirichlet-series", "--seed", "2401", "--seconds", "25", "--trace", "1"]
+    assert calls == [(argv, "p"), (argv, "c")]
+    assert doc["command"] == ("python3 perfbench/run.py --workload dirichlet-series --seed 2401 "
+                              "--seconds 25 --trace 1")
+    assert [doc[side]["metrics"]["tree"]["value"] for side in ("parent", "change")] == ["p", "c"]
+
+
+def test_trace_out_uses_the_first_seed_and_the_pairs_parent_export(bench_pair, monkeypatch,
+                                                                  tmp_path):
+    calls = []
+    bench = _fake_bench(calls)
+
+    def run(argv, cwd=None, **kw):  # git archive and tar answer with nothing
+        if argv[0] == sys.executable:
+            return bench(argv, cwd, kw["capture_output"], kw["text"])
+        return types.SimpleNamespace(returncode=0, stdout=b"", stderr=b"")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", run)
+    monkeypatch.setattr(bench_pair, "_git", lambda *args, **kw: "rev")
+    out, trace = tmp_path / "pairs.json", tmp_path / "trace.json"
+    assert bench_pair.main(["--workload", "dirichlet-series", "--seeds", "7-8", "--out", str(out),
+                            "--workdir", str(tmp_path), "--trace-out", str(trace)]) == 0
+    pairs, doc = json.loads(out.read_text()), json.loads(trace.read_text())
+    parent = pairs["runs"]["parent"][0]
+    assert [r["seed"] for r in pairs["runs"]["change"]] == [7, 8]
+    assert [argv for argv, _ in calls[4:]] == [
+        ["--workload", "dirichlet-series", "--seed", "7", "--seconds", "25", "--trace", "1"]] * 2
+    assert calls[4][1] == calls[0][1] != calls[5][1] == bench_pair.ROOT
+    assert sorted(doc) == ["change", "command", "parent"]
+    assert doc["parent"]["metrics"]["wall_s"]["value"] == parent["metrics"]["wall_s"] == 7.0

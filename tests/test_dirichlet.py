@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlfield import dirichlet
+from helpers import oracle_dconv_approx, oracle_dinvert_approx
+from nlfield import coeffs, dirichlet
 from nlfield.algebra import monomial
 from nlfield.coeffs import APPROX, EXACT, GaussRat
 from nlfield.dirichlet import (
@@ -211,6 +212,74 @@ def test_exact_paths_match_oracles_in_canonical_form(max_scale, a1, rest, b):
         want = [GaussRat(*c) for c in want]
         assert [(c.x, c.y, c.den) for c in got.a] == [(c.x, c.y, c.den) for c in want]
         assert list(map(hash, got.a)) == list(map(hash, want))
+
+
+# a_2 and a_3 over primes whose product is past MAX_SCALE: no integer form
+PAST_SCALE = [(1, 0), (Fraction(1, 2 ** 61 - 1), 0), (0, Fraction(2, 2 ** 31 - 1))]
+
+
+@given(st.lists(qi_pair, min_size=1, max_size=30),
+       st.one_of(st.none(), st.lists(qi_pair, min_size=1, max_size=30)))
+@example([(0, 0)] * 5, None)
+@example([(Fraction(1, 3), 2)], [(Fraction(2, 6), 2)])
+@example(PAST_SCALE, None)
+@example(PAST_SCALE, PAST_SCALE[:2] + [(0, Fraction(1, 2 ** 31 - 1))])
+@settings(max_examples=60, deadline=None)
+def test_equality_of_integer_backed_series_agrees_with_the_view(a, b):
+    # b None: the same values as a; dconv with delta gives each series back
+    # as a kernel output, integer-backed below MAX_SCALE
+    b = a if b is None else b
+    N = min(len(a), len(b))
+    f, g = (IntegerSeries(N, [GaussRat(*map(Fraction, v)) for v in vals[:N]]) for vals in (a, b))
+    delta = IntegerSeries.delta(N)
+    pairs = [(f, dconv(g, delta)), (dconv(f, delta), g), (dconv(f, delta), dconv(g, delta)),
+             (dconv(delta, f), f)]
+    got = [(x == y, y == x) for x, y in pairs]
+    assert got == [(x.a == y.a,) * 2 for x, y in pairs]
+
+
+def test_kernels_build_no_gauss_rat_until_the_view_is_read():
+    rng = random.Random(24)
+    N = 300
+    f = IntegerSeries(N, [GaussRat(Fraction(1, 2))] + [
+        GaussRat(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), rng.randint(-1, 1))
+        if rng.random() < 0.5 else 0 for _ in range(N - 1)])
+    calls = []
+
+    def counted(x, y, den):
+        calls.append(den)
+        return GaussRat(Fraction(x, den), Fraction(y, den))
+
+    with mock.patch.object(coeffs, "_gauss", counted), mock.patch.object(dirichlet, "_gauss",
+                                                                          counted):
+        h = dconv(f, dinvert(f))
+        assert h == IntegerSeries.delta(N) and h.support() == [1] and not calls
+        assert repr(h) == "IntegerSeries(N=300, [1, 0, 0, 0, 0, 0, ...])"
+        assert len(calls) == 6 and h._a is None  # the first six, and no view
+        assert h.a == IntegerSeries.delta(N).a and len(calls) == 6 + N
+
+
+# approx coefficients: signed zeros, infinities and nans among finite values
+SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(math.inf, 0),
+           complex(0, -math.inf), complex(math.nan, 0), complex(1, math.nan)]
+approx_values = st.lists(
+    st.one_of(st.sampled_from(SPECIAL), st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                                           allow_infinity=False)),
+    min_size=1, max_size=40)
+
+
+@given(approx_values, approx_values)
+@example([complex(2, -0.0), complex(-0.0, -0.0), complex(math.inf, 0), complex(math.nan, 1)],
+         [complex(-0.0, 0.0), complex(0, -math.inf), complex(-0.0, -0.0), complex(math.nan, 0)])
+@example([complex(-0.0, 1)] + [complex(-0.0, -0.0)] * 11, [complex(-0.0, -0.0)] * 12)
+@settings(max_examples=120, deadline=None)
+def test_approx_kernels_match_the_loops_bit_for_bit(a, b):
+    N = min(len(a), len(b))
+    a, b = a[:N], b[:N]
+    f, g = IntegerSeries(N, a, APPROX), IntegerSeries(N, b, APPROX)
+    assert repr(dconv(f, g).a) == repr(oracle_dconv_approx(a, b))
+    if a[0]:
+        assert repr(dinvert(f).a) == repr(oracle_dinvert_approx(a))
 
 
 def test_large_denominators_take_the_loop():
