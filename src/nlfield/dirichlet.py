@@ -244,7 +244,8 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
                 x, y = sx[n], sy[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
                 if x or y:
                     _push(sx, sy, n, x, y, tail, N)
-            return _series(N, EXACT, form=([D * x for x in sx[1:]], [D * y for y in sy[1:]], scale))
+            return _series(N, EXACT,
+                           form=([D * x for x in sx[1:]], [D * y for y in sy[1:]], scale))
     inv_a1 = coeffs.coerce(1, f.mode) / f[1]
     acc = [coeffs.zero(f.mode)] * (N + 1)
     b = [coeffs.zero(f.mode)] * (N + 1)

@@ -222,6 +222,7 @@ PAST_SCALE = [(1, 0), (Fraction(1, 2 ** 61 - 1), 0), (0, Fraction(2, 2 ** 31 - 1
        st.one_of(st.none(), st.lists(qi_pair, min_size=1, max_size=30)))
 @example([(0, 0)] * 5, None)
 @example([(Fraction(1, 3), 2)], [(Fraction(2, 6), 2)])
+@example([(1, 0), (2, 1)], [(Fraction(1, 2), 0), (1, Fraction(1, 2))])
 @example(PAST_SCALE, None)
 @example(PAST_SCALE, PAST_SCALE[:2] + [(0, Fraction(1, 2 ** 31 - 1))])
 @settings(max_examples=60, deadline=None)
@@ -241,9 +242,15 @@ def test_equality_of_integer_backed_series_agrees_with_the_view(a, b):
 def test_kernels_build_no_gauss_rat_until_the_view_is_read():
     rng = random.Random(24)
     N = 300
-    f = IntegerSeries(N, [GaussRat(Fraction(1, 2))] + [
-        GaussRat(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), rng.randint(-1, 1))
-        if rng.random() < 0.5 else 0 for _ in range(N - 1)])
+
+    def draw(a1, dens):
+        return IntegerSeries(N, [a1] + [
+            GaussRat(Fraction(rng.randint(-3, 3), rng.choice(dens)), rng.randint(-1, 1))
+            if rng.random() < 0.5 else 0 for _ in range(N - 1)])
+
+    # u: a unit a_1 and integer coefficients, so dinvert(u) is integer-backed
+    # and small enough for the outer dinvert to take the integer kernel
+    f, u = draw(GaussRat(Fraction(1, 2)), [1, 2, 3]), draw(GaussRat(0, 1), [1])
     calls = []
 
     def counted(x, y, den):
@@ -252,8 +259,8 @@ def test_kernels_build_no_gauss_rat_until_the_view_is_read():
 
     with mock.patch.object(coeffs, "_gauss", counted), mock.patch.object(dirichlet, "_gauss",
                                                                           counted):
-        h = dconv(f, dinvert(f))
-        assert h == IntegerSeries.delta(N) and h.support() == [1] and not calls
+        h, w = dconv(f, dinvert(f)), dinvert(dinvert(u))
+        assert h == IntegerSeries.delta(N) and h.support() == [1] and w == u and not calls
         assert repr(h) == "IntegerSeries(N=300, [1, 0, 0, 0, 0, 0, ...])"
         assert len(calls) == 6 and h._a is None  # the first six, and no view
         assert h.a == IntegerSeries.delta(N).a and len(calls) == 6 + N
