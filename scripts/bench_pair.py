@@ -125,6 +125,32 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _pairs_doc(args, base: str, seconds: float, better: dict, bounds: dict, src_lines: dict,
+               runs: dict) -> dict:
+    """The pairs file: per metric the summaries, the change's wins and a verdict."""
+    summary, wins, verdict = {}, {}, {}
+    for name, direction in better.items():
+        sides = {s: [r["metrics"][name] for r in runs[s]] for s in runs}
+        summary[name] = {s: _summary(v) for s, v in sides.items()}
+        sign = 1 if direction == "lower" else -1
+        wins[name] = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        verdict[name] = _verdict(sides["parent"], sides["change"], direction, bounds[name],
+                                 wins[name])
+    return {
+        "workload": args.workload, "seconds": seconds, "pairs": len(runs["change"]),
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
+                   f"--seconds {seconds:g}",
+        "parent": base, "change": _git("rev-parse", "HEAD"),
+        "change_dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
+        # where bytecode is not written, no run finds it cached, and each
+        # compiles the modules it imports inside its setup_s
+        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
+                 "bytecode_cache": not sys.flags.dont_write_bytecode},
+        "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary,
+        "change_wins": wins, "verdict": verdict, "runs": runs,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -161,40 +187,18 @@ def main(argv=None) -> int:
             p, c = (runs[s][-1]["metrics"]["wall_s"] for s in ("parent", "change"))
             print(f"pair {i + 1} seed {seed}: wall_s parent {p:.3f} change {c:.3f}",
                   file=sys.stderr)
+        # the pairs are on disk before the traced pass, which may fail
+        doc = _pairs_doc(args, base, seconds, better, bounds, src_lines, runs)
+        _write_json(args.out, doc)
+        for name in better:
+            s, wins = doc["summary"][name], doc["change_wins"][name]
+            print(f"{name:12s} parent {s['parent']['median']:.4g} (iqr {s['parent']['iqr']:.3g})"
+                  f"  change {s['change']['median']:.4g} (iqr {s['change']['iqr']:.3g})"
+                  f"  change wins {wins}/{doc['pairs']}  {doc['verdict'][name]}")
         if args.trace_out:
-            trace = _trace(trees, args.workload, seeds[0], seconds)
+            _write_json(args.trace_out, _trace(trees, args.workload, seeds[0], seconds))
     finally:
         shutil.rmtree(tmp)
-
-    summary, wins, verdict = {}, {}, {}
-    for name, direction in better.items():
-        sides = {s: [r["metrics"][name] for r in runs[s]] for s in runs}
-        summary[name] = {s: _summary(v) for s, v in sides.items()}
-        sign = 1 if direction == "lower" else -1
-        wins[name] = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        verdict[name] = _verdict(sides["parent"], sides["change"], direction, bounds[name],
-                                 wins[name])
-    doc = {
-        "workload": args.workload, "seconds": seconds, "pairs": len(runs["change"]),
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {seconds:g}",
-        "parent": base, "change": _git("rev-parse", "HEAD"),
-        "change_dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
-        # where bytecode is not written, no run finds it cached, and each
-        # compiles the modules it imports inside its setup_s
-        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
-                 "bytecode_cache": not sys.flags.dont_write_bytecode},
-        "src_lines": src_lines, "better": better, "bounds": bounds, "summary": summary,
-        "change_wins": wins, "verdict": verdict, "runs": runs,
-    }
-    _write_json(args.out, doc)
-    if args.trace_out:
-        _write_json(args.trace_out, trace)
-    for name in better:
-        s = summary[name]
-        print(f"{name:12s} parent {s['parent']['median']:.4g} (iqr {s['parent']['iqr']:.3g})"
-              f"  change {s['change']['median']:.4g} (iqr {s['change']['iqr']:.3g})"
-              f"  change wins {wins[name]}/{doc['pairs']}  {verdict[name]}")
     return 0
 
 

@@ -94,6 +94,7 @@ def _field_label(field, name):
 
 
 def _read_series(path: str, N: int) -> dmod.IntegerSeries:
+    vals = [0] * N
     # rationals of any length: lift csv's process-wide field limit for this read
     limit = csv.field_size_limit(sys.maxsize)
     try:
@@ -101,33 +102,26 @@ def _read_series(path: str, N: int) -> dmod.IntegerSeries:
             rows = list(csv.reader(fh))
     finally:
         csv.field_size_limit(limit)
-    xs, ys, dens = [0] * N, [0] * N, [1] * N
     for row in rows:
         if not row or row[0].strip() == "n":
             continue
         if len(row) < 2:
             raise NlfieldError(f"CSV row {row[0]!r} has no real part")
         n = int(row[0])
-        nums, den = smod.nums_over_lcm([row[1], row[2] if len(row) > 2 and row[2] else "0"])
+        (re, im), den = smod.nums_over_lcm([row[1], row[2] if len(row) > 2 and row[2] else "0"])
         if not 1 <= n <= N:
             raise NlfieldError(f"coefficient index {n} outside 1..{N}")
-        (xs[n - 1], ys[n - 1]), dens[n - 1] = nums, den
-    den = dmod._lcm_below(set(dens))
-    if not den:  # past the kernels' bound: GaussRat values, as they run
-        return dmod.IntegerSeries(N, map(_gauss, xs, ys, dens))
-    return dmod._series(N, EXACT, form=([x * (den // d) for x, d in zip(xs, dens)],
-                                        [y * (den // d) for y, d in zip(ys, dens)], den))
+        vals[n - 1] = _gauss(re, im, den)
+    return dmod.IntegerSeries(N, vals)
 
 
 def _write_series(path: str, s: dmod.IntegerSeries):
-    form = s._int_form()
-    rows = ([(n, form[0][n - 1], form[1][n - 1], form[2]) for n in s.support()] if form
-            else [(n, c.x, c.y, c.den) for n, c in enumerate(s.a, 1) if c])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "re", "im"])
-        for n, x, y, den in rows:
-            w.writerow([n, *smod.ratios_to_strs((x, y), den)])
+        for n in s.support():
+            c = s[n]
+            w.writerow([n, *smod.ratios_to_strs((c.x, c.y), c.den)])
 
 
 # -- command implementations -----------------------------------------
@@ -284,9 +278,11 @@ def cmd_dirichlet(ctx, args):
         out, what = dmod.dinvert(f), "inverse"
     if args.out:
         _write_series(args.out, out)
-    support = len(out.support())
-    ctx.emit({"command": f"dirichlet {args.action}", "N": args.N, "support": support,
-              "out": args.out}, f"{what} support {support}")
+    ctx.emit(
+        {"command": f"dirichlet {args.action}", "N": args.N,
+         "support": len(out.support()), "out": args.out},
+        f"{what} support {len(out.support())}",
+    )
     return 0
 
 

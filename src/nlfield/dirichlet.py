@@ -55,12 +55,11 @@ def divisors_of(n: int, bound: int) -> list[int]:
 class IntegerSeries:
     """Coefficients a_1..a_N of a Dirichlet series truncated at N.
 
-    An exact series has one integer form (xs, ys, den), a_n = (xs[n-1] +
-    i ys[n-1])/den with gcd(*xs, *ys, den) = 1, or none where den reaches
-    MAX_SCALE.  Kernel outputs hold only that form; `a`, the `GaussRat`
-    view, is built on first read."""
+    An exact series also has one integer form (xs, ys, den), a_n =
+    (xs[n-1] + i ys[n-1])/den with gcd(*xs, *ys, den) = 1, or none where
+    den reaches MAX_SCALE; the kernels read and write it."""
 
-    __slots__ = ("N", "mode", "_a", "_int", "_terms")
+    __slots__ = ("N", "mode", "a", "_int", "_terms")
 
     def __init__(self, N: int, values, mode: str = EXACT):
         if N < 1:
@@ -68,26 +67,13 @@ class IntegerSeries:
         vals = list(values)
         if len(vals) != N:
             raise ValueError(f"need {N} coefficients, got {len(vals)}")
-        self.N, self.mode, self._a, self._int, self._terms = (
+        self.N, self.mode, self.a, self._int, self._terms = (
             N, mode, [coeffs.coerce(v, mode) for v in vals], None, None)
-
-    @property
-    def a(self) -> list:
-        if self._a is None:
-            self._a = self._head(None)
-        return self._a
-
-    def _head(self, stop) -> list:
-        """a[:stop], read from the integer form unless `a` is built."""
-        if self._a is not None:
-            return self._a[:stop]
-        xs, ys, den = self._int
-        return [_gauss(x, y, den) for x, y in zip(xs[:stop], ys[:stop])]
 
     def _int_form(self) -> tuple:
         """The integer form, found on first use; () in approx mode or past MAX_SCALE."""
         if self._int is None:
-            a = self._a
+            a = self.a
             den = _lcm_below({c.den for c in a}) if self.mode == EXACT else 0
             self._int = ([c.x * (den // c.den) for c in a], [c.y * (den // c.den) for c in a],
                          den) if den else ()
@@ -99,14 +85,15 @@ class IntegerSeries:
         return self.a[n - 1]
 
     def __eq__(self, other):
-        if not (isinstance(other, IntegerSeries) and self.N == other.N
-                and self.mode == other.mode):
-            return False
-        p, q = self._int_form(), other._int_form()
-        return p == q if p and q else self.a == other.a
+        return (
+            isinstance(other, IntegerSeries)
+            and self.N == other.N
+            and self.mode == other.mode
+            and self.a == other.a
+        )
 
     def __repr__(self):
-        head = ", ".join(repr(c) for c in self._head(6))
+        head = ", ".join(repr(c) for c in self.a[:6])
         tail = ", ..." if self.N > 6 else ""
         return f"IntegerSeries(N={self.N}, [{head}{tail}])"
 
@@ -120,9 +107,7 @@ class IntegerSeries:
         return IntegerSeries(N, [1] * N, mode)
 
     def support(self) -> list[int]:
-        if self._a is None:
-            return [n for n, _, _ in _nonzero(*self._int[:2])]
-        return [n for n, c in enumerate(self._a, 1) if c]
+        return [n for n, c in enumerate(self.a, 1) if c]
 
     def log_terms(self) -> list[tuple]:
         """(log n, complex a_n) for every nonzero a_n, built on first use;
@@ -170,12 +155,16 @@ def _lcm_below(dens) -> int:
 
 
 def _series(N: int, mode: str, a=None, form=None) -> IntegerSeries:
-    """A kernel output from its coefficients `a`, which skip `coerce`, or
-    from an integer form, reduced here by one gcd."""
-    if form and (g := math.gcd(*form[0], *form[1], form[2])) != 1:
-        form = [x // g for x in form[0]], [y // g for y in form[1]], form[2] // g
+    """A kernel output that skips `coerce`: its coefficients `a`, or an
+    integer form, reduced here by one gcd, with `a` built from it."""
+    if form:
+        xs, ys, den = form
+        if (g := math.gcd(*xs, *ys, den)) != 1:
+            xs, ys, den = form = [x // g for x in xs], [y // g for y in ys], den // g
+        zero = coeffs.zero(EXACT)
+        a = [_gauss(x, y, den) if x or y else zero for x, y in zip(xs, ys)]
     s = _new(IntegerSeries)
-    s.N, s.mode, s._a, s._int, s._terms = N, mode, a, form, None
+    s.N, s.mode, s.a, s._int, s._terms = N, mode, a, form, None
     return s
 
 
@@ -226,9 +215,9 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
     Below MAX_SCALE, exact mode finds the Gaussian integers B_n = b_n |u|^(2L)/D
     for F = D a, u = F_1 and L = N.bit_length() > Omega(n), dividing exactly in
     Z[i]: u B_n = |u|^(2L) [n = 1] - sum_{d|n, d<n} F_{n/d} B_d."""
-    N, F = f.N, f._int_form()
-    if not ((F[0][0] or F[1][0]) if F else f.a[0]):
+    if not f[1]:
         raise NotInvertibleError("leading coefficient a_1 is zero")
+    N, F = f.N, f._int_form()
     if F:
         xs, ys, D = F
         ux, uy = xs[0], ys[0]

@@ -1,10 +1,8 @@
 """Code that only the tests use: an mpmath oracle for root enclosures,
 the parser's fully parenthesised printer, the algebra products as
-`FieldElement` and coefficient loops, the approx Dirichlet loops as they
-were before series carried an integer form, and the per-`GaussRat`
-series CSV writer."""
+`FieldElement` and coefficient loops, and the approx Dirichlet loops as
+they were before series carried an integer form."""
 
-import csv
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +11,6 @@ from nlfield import coeffs
 from nlfield.intervals import Ball
 from nlfield.numberfield import Place, _bits, _newton, _over_common_denominator, refine
 from nlfield.parser import BinOp, Gen, Imag, Mono, Neg, Num, Pow
-from nlfield.session import ratios_to_strs
 
 
 def _dyadic(x, k: int) -> int:
@@ -159,13 +156,3 @@ def oracle_dinvert_approx(a: list) -> list:
                 break
             acc[n * k] = acc[n * k] + b[n] * ak
     return b[1:]
-
-
-def write_series_by_gauss(path: str, s) -> None:
-    """The CLI's `--out` writer as it was: one row per nonzero `GaussRat`."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "re", "im"])
-        for n in s.support():
-            c = s[n]
-            w.writerow([n, *ratios_to_strs((c.x, c.y), c.den)])

@@ -92,12 +92,10 @@ def test_trace_runs_one_traced_pass_per_side(bench_pair, monkeypatch):
     assert [doc[side]["metrics"]["tree"]["value"] for side in ("parent", "change")] == ["p", "c"]
 
 
-def test_trace_out_uses_the_first_seed_and_the_pairs_parent_export(bench_pair, monkeypatch,
-                                                                  tmp_path):
-    calls = []
-    bench = _fake_bench(calls)
-
-    def run(argv, cwd=None, **kw):  # git archive and tar answer with nothing
+def _main_with(bench_pair, monkeypatch, tmp_path, bench):
+    """main on seeds 7-8 with --trace-out, perfbench/run.py answered by bench
+    and git archive and tar by nothing; the pairs and trace file paths."""
+    def run(argv, cwd=None, **kw):
         if argv[0] == sys.executable:
             return bench(argv, cwd, kw["capture_output"], kw["text"])
         return types.SimpleNamespace(returncode=0, stdout=b"", stderr=b"")
@@ -105,8 +103,15 @@ def test_trace_out_uses_the_first_seed_and_the_pairs_parent_export(bench_pair, m
     monkeypatch.setattr(bench_pair.subprocess, "run", run)
     monkeypatch.setattr(bench_pair, "_git", lambda *args, **kw: "rev")
     out, trace = tmp_path / "pairs.json", tmp_path / "trace.json"
-    assert bench_pair.main(["--workload", "dirichlet-series", "--seeds", "7-8", "--out", str(out),
-                            "--workdir", str(tmp_path), "--trace-out", str(trace)]) == 0
+    bench_pair.main(["--workload", "dirichlet-series", "--seeds", "7-8", "--out", str(out),
+                     "--workdir", str(tmp_path), "--trace-out", str(trace)])
+    return out, trace
+
+
+def test_trace_out_uses_the_first_seed_and_the_pairs_parent_export(bench_pair, monkeypatch,
+                                                                  tmp_path):
+    calls = []
+    out, trace = _main_with(bench_pair, monkeypatch, tmp_path, _fake_bench(calls))
     pairs, doc = json.loads(out.read_text()), json.loads(trace.read_text())
     parent = pairs["runs"]["parent"][0]
     assert [r["seed"] for r in pairs["runs"]["change"]] == [7, 8]
@@ -115,3 +120,21 @@ def test_trace_out_uses_the_first_seed_and_the_pairs_parent_export(bench_pair, m
     assert calls[4][1] == calls[0][1] != calls[5][1] == bench_pair.ROOT
     assert sorted(doc) == ["change", "command", "parent"]
     assert doc["parent"]["metrics"]["wall_s"]["value"] == parent["metrics"]["wall_s"] == 7.0
+
+
+def test_a_failed_traced_run_keeps_the_pairs_file(bench_pair, monkeypatch, tmp_path):
+    calls = []
+    bench = _fake_bench(calls)
+
+    def traced_run_fails(argv, cwd, capture_output, text):
+        proc = bench(argv, cwd, capture_output, text)
+        if "--trace" in argv:
+            proc.returncode, proc.stderr = 1, "run.py: unknown option --trace"
+        return proc
+
+    with pytest.raises(SystemExit, match="unknown option --trace"):
+        _main_with(bench_pair, monkeypatch, tmp_path, traced_run_fails)
+    out, trace = tmp_path / "pairs.json", tmp_path / "trace.json"
+    assert len(calls) == 5 and not trace.exists()
+    assert [r["seed"] for r in json.loads(out.read_text())["runs"]["parent"]] == [7, 8]
+    assert not list(tmp_path.glob("bench-pair-*"))  # the parent export is removed

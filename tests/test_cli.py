@@ -16,10 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_series_by_gauss
 from nlfield.cli import _read_series, main
-from nlfield.coeffs import GaussRat
-from nlfield.dirichlet import IntegerSeries, dconv, dinvert
 from nlfield.session import Session, _int, _str, rat_to_str
 
 
@@ -721,43 +718,6 @@ def _series_csv(rng, N, lead):
         im = str(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) if rng.random() < 0.4 else ""
         rows.append(f"{n},{form},{im}")
     return "\n".join(rows) + "\n"
-
-
-@pytest.mark.parametrize("past_bound", [False, True], ids=["kernel", "loop"])
-@pytest.mark.parametrize("action", ["conv", "invert"])
-def test_dirichlet_out_matches_the_gauss_rat_writer(tmp_path, capsys, action, past_bound):
-    # denominators 1, 2, 3 and 6 keep both integer kernels below MAX_SCALE;
-    # past_bound adds coefficients over large primes, which put the common
-    # denominator past it, so reading, both kernels and writing take GaussRat
-    rng = random.Random(24)
-    N = 70
-    paths = {name: tmp_path / f"{name}.csv" for name in ("f", "g", "out", "want")}
-    for name, lead in (("f", "1/2,0"), ("g", "2/3,-1")):
-        rows = ["n,re,im", f"1,{lead}"]
-        for n in range(2, N + 1):
-            if rng.random() < 0.5:
-                re, im = (Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in "ri")
-                unreduced = f"{2 * re.numerator}/{2 * re.denominator}"
-                rows.append(f"{n},{rng.choice([str(re), unreduced])},"
-                            f"{im if rng.random() < 0.5 else ''}")
-        if past_bound:
-            rows += [f"5,1/{2 ** 61 - 1},2/{2 ** 31 - 1}", f"7,-1/{2 ** 89 - 1},"]
-        paths[name].write_text("\n".join(rows) + "\n")
-    extra = ["--in2", str(paths["g"])] if action == "conv" else []
-    code, _, err = run(capsys, "--json", "dirichlet", action, "--in", str(paths["f"]), *extra,
-                       "--N", str(N), "--out", str(paths["out"]))
-    assert code == 0, err
-
-    def values(path):
-        vals = [GaussRat()] * N
-        for row in list(csv.reader(path.read_text().splitlines()))[1:]:
-            vals[int(row[0]) - 1] = GaussRat(Fraction(row[1]), Fraction(row[2] or 0))
-        return IntegerSeries(N, vals)
-
-    f = values(paths["f"])
-    want = dconv(f, values(paths["g"])) if action == "conv" else dinvert(f)
-    write_series_by_gauss(str(paths["want"]), want)
-    assert paths["out"].read_bytes() == paths["want"].read_bytes()
 
 
 def test_dirichlet_out_csv_bytes_are_pinned(tmp_path, capsys):
