@@ -19,7 +19,7 @@ from itertools import count
 
 from . import coeffs
 from .algebra import AlgebraElement, _element
-from .coeffs import EXACT, _gauss, _new
+from .coeffs import _ZERO, EXACT, _gauss, _new
 from .errors import NotInvertibleError
 from .numberfield import rationals
 
@@ -161,8 +161,7 @@ def _series(N: int, mode: str, a=None, form=None) -> IntegerSeries:
         xs, ys, den = form
         if (g := math.gcd(*xs, *ys, den)) != 1:
             xs, ys, den = form = [x // g for x in xs], [y // g for y in ys], den // g
-        zero = coeffs.zero(EXACT)
-        a = [_gauss(x, y, den) if x or y else zero for x, y in zip(xs, ys)]
+        a = [_gauss(x, y, den) if x or y else _ZERO for x, y in zip(xs, ys)]
     s = _new(IntegerSeries)
     s.N, s.mode, s.a, s._int, s._terms = N, mode, a, form, None
     return s
@@ -174,8 +173,15 @@ def _nonzero(xs, ys, start: int = 1) -> list:
 
 
 def _push(re, im, n, x, y, terms, N):
-    """Add (x + iy)(u + iv) into index n k for each (k, u, v) of terms, k <= N/n."""
+    """Add (x + iy)(u + iv) into index n k for each (k, u, v) of terms, k <= N/n;
+    im is None where every y and v is 0."""
     top = N // n
+    if im is None:
+        for k, u, _ in terms:
+            if k > top:
+                break
+            re[n * k] += x * u
+        return
     for k, u, v in terms:
         if k > top:
             break
@@ -192,8 +198,9 @@ def dconv(f: IntegerSeries, g: IntegerSeries) -> IntegerSeries:
     F, G = f._int_form(), g._int_form()
     if F and G and F[2] * G[2] < MAX_SCALE:
         re, im, gs = [0] * (N + 1), [0] * (N + 1), _nonzero(*G[:2])
+        sink = im if any(F[1]) or any(G[1]) else None
         for d, x, y in _nonzero(*F[:2]):
-            _push(re, im, d, x, y, gs, N)
+            _push(re, sink, d, x, y, gs, N)
         return _series(N, EXACT, form=(re[1:], im[1:], F[2] * G[2]))
     out = [coeffs.zero(f.mode)] * (N + 1)
     bs = [(k, c) for k, c in enumerate(g.a, 1) if c]
@@ -227,12 +234,12 @@ def dinvert(f: IntegerSeries) -> IntegerSeries:
             tail = _nonzero(xs[1:], ys[1:], 2)
             # s holds -u B_n, and B_n from step n on
             sx, sy = [0] * (N + 1), [0] * (N + 1)
-            sx[1] = -scale
+            sx[1], sink = -scale, sy if any(ys) else None
             for n in range(1, N + 1):
                 x, y = sx[n], sy[n]
                 x, y = sx[n], sy[n] = -(x * ux + y * uy) // n2, (x * uy - y * ux) // n2
                 if x or y:
-                    _push(sx, sy, n, x, y, tail, N)
+                    _push(sx, sink, n, x, y, tail, N)
             return _series(N, EXACT,
                            form=([D * x for x in sx[1:]], [D * y for y in sy[1:]], scale))
     inv_a1 = coeffs.coerce(1, f.mode) / f[1]
